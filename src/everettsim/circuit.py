@@ -27,9 +27,10 @@ Files use extension `.ecirc`, UTF-8, LF line endings.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from . import protocols
 from .gates import UnitaryGate, bell, cu_meas, cu_sigma, sigma, u_b_decoder
@@ -37,24 +38,28 @@ from .state import Bipartition, equal_up_to_phase, qubit, schmidt_factor
 
 ASSERT_TOL = 1e-10
 
-GATE_BUILDERS: dict[str, Callable[[], UnitaryGate]] = {
-    "sigma00": lambda: sigma(0, 0),
-    "sigma01": lambda: sigma(0, 1),
-    "sigma10": lambda: sigma(1, 0),
-    "sigma11": lambda: sigma(1, 1),
-    "cu_sigma": cu_sigma,
-    "cu_meas": cu_meas,
-    "u_b": u_b_decoder,
-}
 
-GATE_ARITIES = {
-    "sigma00": 1,
-    "sigma01": 1,
-    "sigma10": 1,
-    "sigma11": 1,
-    "cu_sigma": 3,
-    "cu_meas": 4,
-    "u_b": 3,
+class GateSpec(NamedTuple):
+    """A DSL gate: how to construct it, and which operands the diagram draws as dots and boxes."""
+
+    build: Callable[[], UnitaryGate]
+    controls: tuple[int, ...]
+    boxes: tuple[int, ...]
+    label: str
+
+    @property
+    def arity(self) -> int:
+        return len(self.controls) + len(self.boxes)
+
+
+GATES: dict[str, GateSpec] = {
+    "sigma00": GateSpec(lambda: sigma(0, 0), (), (0,), "σ00"),
+    "sigma01": GateSpec(lambda: sigma(0, 1), (), (0,), "σ01"),
+    "sigma10": GateSpec(lambda: sigma(1, 0), (), (0,), "σ10"),
+    "sigma11": GateSpec(lambda: sigma(1, 1), (), (0,), "σ11"),
+    "cu_sigma": GateSpec(cu_sigma, (0, 1), (2,), "Uσ"),
+    "cu_meas": GateSpec(cu_meas, (2, 3), (0, 1), "UM"),
+    "u_b": GateSpec(u_b_decoder, (0, 1), (2,), "UB"),
 }
 
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -158,12 +163,6 @@ class CircuitProgram:
     registers: tuple[WireDecl, ...]
     statements: tuple[Statement, ...]
 
-    def agent_of(self, label: str) -> str:
-        for decl in self.registers:
-            if decl.label == label:
-                return decl.agent
-        raise CircuitError(f"undeclared wire {label!r}")
-
 
 class _Cursor:
     """Token stream over one source line, tracking 1-based columns."""
@@ -222,15 +221,21 @@ def _parse_bit(cur: _Cursor) -> int:
     return int(tok)
 
 
-def _parse_amp(cur: _Cursor) -> complex:
-    col, tok = cur.take("(re,im) amplitude")
+def _amp_value(cur: _Cursor, col: int, tok: str) -> complex:
     m = _AMP_RE.match(tok)
     if not m:
         raise cur.error(col, f"{tok!r} is not an amplitude", "(re,im)")
     try:
-        return complex(float(m.group(1)), float(m.group(2)))
+        value = complex(float(m.group(1)), float(m.group(2)))
     except ValueError:
         raise cur.error(col, f"non-numeric amplitude {tok!r}", "(re,im) with decimal parts") from None
+    if not cmath.isfinite(value):
+        raise cur.error(col, f"non-finite amplitude {tok!r}", "finite (re,im)")
+    return value
+
+
+def _parse_amp(cur: _Cursor) -> complex:
+    return _amp_value(cur, *cur.take("(re,im) amplitude"))
 
 
 def _parse_ket(cur: _Cursor) -> KetExpr:
@@ -239,13 +244,9 @@ def _parse_ket(cur: _Cursor) -> KetExpr:
         return KetExpr(1.0, 0.0)
     if tok == "|1>":
         return KetExpr(0.0, 1.0)
-    m = _AMP_RE.match(tok)
-    if not m:
+    if not _AMP_RE.match(tok):
         raise cur.error(col, f"{tok!r} does not start a ket expression", "|0>, |1> or (re,im)")
-    try:
-        amp0 = complex(float(m.group(1)), float(m.group(2)))
-    except ValueError:
-        raise cur.error(col, f"non-numeric amplitude {tok!r}", "(re,im) with decimal parts") from None
+    amp0 = _amp_value(cur, col, tok)
     cur.literal("|0>")
     cur.literal("+")
     amp1 = _parse_amp(cur)
@@ -299,8 +300,8 @@ def parse_circuit(source: str) -> CircuitProgram:
         elif head == "gate":
             cur.take("'gate'")
             col, name = cur.take("gate name")
-            if name not in GATE_ARITIES:
-                raise cur.error(col, f"unknown gate {name!r}", " | ".join(sorted(GATE_ARITIES)))
+            if name not in GATES:
+                raise cur.error(col, f"unknown gate {name!r}", " | ".join(sorted(GATES)))
             operands: list[str] = []
             while cur.peek() is not None and cur.peek() != "@":
                 wcol = cur.tokens[cur.pos][0]
@@ -308,10 +309,10 @@ def parse_circuit(source: str) -> CircuitProgram:
                 if w in operands:
                     raise cur.error(wcol, f"repeated operand {w!r}", "distinct wires")
                 operands.append(w)
-            if len(operands) != GATE_ARITIES[name]:
+            arity = GATES[name].arity
+            if len(operands) != arity:
                 raise cur.error(
-                    col, f"{name} takes {GATE_ARITIES[name]} wires, got {len(operands)}",
-                    f"{GATE_ARITIES[name]} operand(s)",
+                    col, f"{name} takes {arity} wires, got {len(operands)}", f"{arity} operand(s)"
                 )
             cur.literal("@")
             actor = _parse_agent(cur)
@@ -399,7 +400,7 @@ def exec_circuit(
             initialized.update(stmt.wires)
         elif isinstance(stmt, GateStatement):
             need_initialized(stmt.line, stmt.wires)
-            gate = GATE_BUILDERS[stmt.name]()
+            gate = GATES[stmt.name].build()
             world = protocols.apply_local(
                 world, gate, stmt.wires, protocols.Agent(stmt.actor)
             )

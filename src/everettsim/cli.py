@@ -6,17 +6,19 @@
     everettsim render <file.ecirc>
     everettsim verify
 
-Exit codes: 0 success, 1 failed assertions or a protocol/locality error while
-running, 2 usage errors, unreadable or unparseable files. The environment
-variable EVERETT_TOL (a decimal literal, default 1e-12 for protocol state
-checks and 1e-10 for circuit assertions) overrides the comparison tolerance;
-`verify` always runs at its pinned tolerances. Trace line and JSON record
+Exit codes: 0 success, 1 failed assertions or a protocol, locality or state
+error while running, 2 usage errors, non-finite amplitudes, unreadable,
+non-UTF-8 or unparseable files. Every error is one line on stderr. The
+environment variable EVERETT_TOL (a decimal literal in (0, 1), default 1e-12
+for protocol state checks and 1e-10 for circuit assertions) overrides the
+comparison tolerance; `verify` always runs at its pinned tolerances. Trace line and JSON record
 layouts are documented in `everettsim.reports`.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import os
 import sys
 
@@ -24,7 +26,7 @@ from . import reports, verify
 from .circuit import CircuitError, CircuitParseError, exec_circuit, parse_circuit
 from .protocols import ProtocolError, derive_decode_table, run_superdense, run_teleport
 from .render import render_ascii
-from .state import DEFAULT_TOL
+from .state import DEFAULT_TOL, StateError
 
 
 def _bit(text: str) -> int:
@@ -38,9 +40,12 @@ def _amplitude(text: str) -> complex:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        value = complex(float(parts[0]), float(parts[1]))
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric amplitude {text!r}") from None
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite amplitude {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,8 +87,10 @@ def _tolerance(default: float) -> float:
     except ValueError:
         print(f"everettsim: bad EVERETT_TOL {raw!r}", file=sys.stderr)
         raise SystemExit(2) from None
-    if not value > 0:
-        print(f"everettsim: EVERETT_TOL must be positive, got {raw!r}", file=sys.stderr)
+    # at 1 or above, equal_up_to_phase accepts any two nonzero states and
+    # schmidt_factor reports rank 0, so every check would be switched off
+    if not 0 < value < 1:
+        print(f"everettsim: EVERETT_TOL must lie in (0, 1), got {raw!r}", file=sys.stderr)
         raise SystemExit(2)
     return value
 
@@ -94,6 +101,9 @@ def _read_file(path: str) -> str:
             return handle.read()
     except OSError as err:
         print(f"everettsim: cannot read {path}: {err.strerror}", file=sys.stderr)
+        raise SystemExit(2) from None
+    except UnicodeDecodeError as err:
+        print(f"everettsim: cannot read {path}: not UTF-8 ({err.reason})", file=sys.stderr)
         raise SystemExit(2) from None
 
 
@@ -107,7 +117,15 @@ def _parse_file(path: str):
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ProtocolError, CircuitError, StateError) as err:
+        where = f"{args.file}: " if "file" in args else ""
+        print(f"everettsim: {where}{err}", file=sys.stderr)
+        return 1
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.verb == "superdense":
         tol = _tolerance(DEFAULT_TOL)
         result = run_superdense(args.p, args.q, tol=tol)
@@ -127,11 +145,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.verb == "run":
         prog = _parse_file(args.file)
-        try:
-            _, outcomes = exec_circuit(prog, tol=_tolerance(1e-10))
-        except (ProtocolError, CircuitError) as err:
-            print(f"everettsim: {args.file}: {err}", file=sys.stderr)
-            return 1
+        _, outcomes = exec_circuit(prog, tol=_tolerance(1e-10))
         for line in reports.run_lines(outcomes, args.json):
             print(line)
         return 0 if all(o.passed for o in outcomes) else 1

@@ -162,7 +162,7 @@ def init_wires(
     """Tensor new wires into the world and record where each one sits."""
     if set(placements) != set(piece.wires):
         raise ProtocolError("placements must cover exactly the new wires")
-    state = tensor(world.state, piece) if world.state.n_wires else _absorb(world.state, piece)
+    state = tensor(world.state, piece)
     location = dict(world.location)
     for w, agent in placements.items():
         location[w] = agent
@@ -173,12 +173,6 @@ def init_wires(
         state=label,
     )
     return ProtocolWorld(state, location, world.trace + (event,))
-
-
-def _absorb(scalar: PureState, piece: PureState) -> PureState:
-    # tensor() with the 0-wire scalar world start; kept separate so the very
-    # first init is bit-identical to constructing the piece directly
-    return tensor(scalar, piece)
 
 
 def transfer(world: ProtocolWorld, wire: str, to: Agent) -> ProtocolWorld:
@@ -284,12 +278,19 @@ class DecodeTable:
         return dict(self.entries)
 
 
-def superdense_encoded_pair(p: int, q: int, wires: Sequence[str]) -> PureState:
-    """The shared pair after encoding bits (p, q): (-1)^p |p+q>|0> + |p+q+1>|1>."""
-    amps = np.zeros(4, dtype=complex)
-    amps[(((p + q) % 2) << 1) | 0] = (-1.0) ** p
-    amps[(((p + q + 1) % 2) << 1) | 1] = 1.0
-    return PureState(tuple(wires), amps)
+def superdense_encoded(p: int, q: int) -> PureState:
+    """The whole state after Alice encodes (p, q), wires (c, d, a, b, E1, E2).
+
+    Only the shared pair has changed: (-1)^p |p+q>|0> + |p+q+1>|1> on (a, b).
+    """
+    pair = np.zeros(4, dtype=complex)
+    pair[((p + q) % 2) << 1] = (-1.0) ** p
+    pair[(((p + q + 1) % 2) << 1) | 1] = 1.0
+    return tensor(
+        basis_state(("c", "d"), (p, q)),
+        PureState(("a", "b"), pair),
+        basis_state(("E1", "E2"), (0, 0)),
+    )
 
 
 def run_superdense(p: int, q: int, tol: float = DEFAULT_TOL) -> SuperdenseResult:
@@ -320,13 +321,7 @@ def run_superdense(p: int, q: int, tol: float = DEFAULT_TOL) -> SuperdenseResult
     world = init_wires(empty_world(), initial, placements, f"superdense(p={p},q={q})")
 
     world = apply_local(world, cu_sigma(), ("c", "d", "a"), Agent.ALICE)
-    expected = tensor(
-        basis_state(("c",), (p,)),
-        basis_state(("d",), (q,)),
-        superdense_encoded_pair(p, q, ("a", "b")),
-        basis_state(("E1", "E2"), (0, 0)),
-    )
-    if not equal_up_to_phase(world.state, expected, tol):
+    if not equal_up_to_phase(world.state, superdense_encoded(p, q), tol):
         raise ProtocolError(f"post-encoding state diverged for (p,q)=({p},{q})")
 
     world = transfer(world, "a", Agent.BOB)

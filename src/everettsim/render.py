@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import (
+    GATES,
     AssertFactor,
     AssertPointer,
     CircuitProgram,
@@ -20,17 +21,6 @@ from .circuit import (
     InitPair,
     TransferStatement,
 )
-
-# per gate: (control operand indices, box operand indices, box label)
-_GATE_GLYPHS = {
-    "sigma00": ((), (0,), "σ00"),
-    "sigma01": ((), (0,), "σ01"),
-    "sigma10": ((), (0,), "σ10"),
-    "sigma11": ((), (0,), "σ11"),
-    "cu_sigma": ((0, 1), (2,), "Uσ"),
-    "cu_meas": ((2, 3), (0, 1), "UM"),
-    "u_b": ((0, 1), (2,), "UB"),
-}
 
 
 @dataclass
@@ -115,12 +105,12 @@ def render_ascii(prog: CircuitProgram) -> str:
                 put(r, col, f"Λ{stmt.x}{stmt.y}")
             spans.append((col, rows[0], rows[1]))
         elif isinstance(stmt, GateStatement):
-            controls, boxes, label = _GATE_GLYPHS[stmt.name]
+            spec = GATES[stmt.name]
             rows = [seg_at(w, col).row for w in stmt.wires]
-            for i in controls:
+            for i in spec.controls:
                 put(rows[i], col, "●")
-            for i in boxes:
-                put(rows[i], col, f"[{label}]")
+            for i in spec.boxes:
+                put(rows[i], col, f"[{spec.label}]")
             spans.append((col, min(rows), max(rows)))
         elif isinstance(stmt, AssertPointer):
             rows = [seg_at(w, col).row for w in stmt.wires]

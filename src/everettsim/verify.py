@@ -22,18 +22,14 @@ from .circuit import (
 )
 from .gates import bell, cu_meas, cu_sigma, reversed_convention_matrix, sigma, u_b_decoder
 from .protocols import (
-    Agent,
     LocalityError,
     TransferEvent,
-    apply_local,
     audit_locality,
     derive_decode_table,
-    empty_world,
-    init_wires,
     pointer_bell_sum,
     run_superdense,
     run_teleport,
-    superdense_encoded_pair,
+    superdense_encoded,
 )
 from .render import render_ascii
 from .reports import superdense_lines, teleport_lines
@@ -156,13 +152,7 @@ def _check_superdense_intermediate() -> str:
                 basis_state(("E1", "E2"), (0, 0)),
             )
             got = apply(cu_sigma(), ("c", "d", "a"), initial)
-            want = tensor(
-                basis_state(("c",), (p,)),
-                basis_state(("d",), (q,)),
-                superdense_encoded_pair(p, q, ("a", "b")),
-                basis_state(("E1", "E2"), (0, 0)),
-            )
-            if not equal_up_to_phase(got, want, 1e-12):
+            if not equal_up_to_phase(got, superdense_encoded(p, q), 1e-12):
                 raise AssertionError(f"intermediate state mismatch at (p,q)=({p},{q})")
     return "post-encoding state matches the two-component form for all 4 inputs"
 
@@ -215,24 +205,9 @@ def _check_teleport_random() -> str:
 
 
 def _check_locality() -> str:
-    initial = tensor(
-        basis_state(("c",), (0,)),
-        basis_state(("d",), (1,)),
-        bell(0, 0, ("a", "b")),
-        basis_state(("E1", "E2"), (0, 0)),
-    )
-    placements = {
-        "c": Agent.ALICE,
-        "d": Agent.ALICE,
-        "a": Agent.ALICE,
-        "b": Agent.BOB,
-        "E1": Agent.BOB,
-        "E2": Agent.BOB,
-    }
-    world = init_wires(empty_world(), initial, placements, "superdense(p=0,q=1)")
-    world = apply_local(world, cu_sigma(), ("c", "d", "a"), Agent.ALICE)
+    premature = superdense_source(0, 1, (1, 0)).replace("transfer a -> Bob\n", "")
     try:
-        apply_local(world, cu_meas(), ("E1", "E2", "a", "b"), Agent.BOB)
+        exec_circuit(parse_circuit(premature))
     except LocalityError:
         pass
     else:

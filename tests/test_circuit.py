@@ -87,12 +87,42 @@ def test_unknown_gate_name_is_a_parse_error():
         parse_circuit("wire c @ Alice\ngate warp c @ Alice")
     assert err.value.line == 2
     assert "sigma00" in err.value.expected
+    assert str(err.value) == (
+        "line 2, column 6: unknown gate 'warp' (expected cu_meas | cu_sigma | "
+        "sigma00 | sigma01 | sigma10 | sigma11 | u_b)"
+    )
 
 
 def test_gate_arity_checked_at_parse_time():
     with pytest.raises(CircuitParseError) as err:
         parse_circuit("wire c @ Alice\nwire d @ Alice\ngate cu_sigma c d @ Alice")
     assert "3 operand" in err.value.expected
+    assert str(err.value) == "line 3, column 6: cu_sigma takes 3 wires, got 2 (expected 3 operand(s))"
+
+
+@pytest.mark.parametrize("source,message", [
+    ("wire c @ Alice\ngate cu_meas c @ Alice",
+     "line 2, column 6: cu_meas takes 4 wires, got 1 (expected 4 operand(s))"),
+    ("wire c @ Alice\nwire d @ Alice\ngate sigma01 c d @ Alice",
+     "line 3, column 6: sigma01 takes 1 wires, got 2 (expected 1 operand(s))"),
+])
+def test_wrong_arity_message_names_the_count(source, message):
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(source)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("statement,column", [
+    ("init c = (nan,0) |0> + (1,0) |1>", 10),
+    ("init c = (inf,0) |0> + (1,0) |1>", 10),
+    ("init c = (1,0) |0> + (0,-inf) |1>", 22),
+    ("assert factor c ~ (1,0) |0> + (1e999,0) |1>", 31),
+])
+def test_non_finite_amplitude_is_a_positioned_parse_error(statement, column):
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit("wire c @ Alice\n" + statement)
+    assert (err.value.line, err.value.column) == (2, column)
+    assert "non-finite amplitude" in err.value.message
 
 
 def test_duplicate_declaration_is_a_parse_error():

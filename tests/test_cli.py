@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from everettsim import fixtures
+from everettsim import cli, fixtures
 from everettsim.circuit import superdense_source
 from everettsim.cli import main
+from everettsim.state import ZeroStateError
 
 
 def run_cli(capsys, *argv):
@@ -151,3 +152,66 @@ def test_everett_tol_env_var_is_honored(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["superdense", "--p", "0", "--q", "0"])
     assert exc.value.code == 2
+
+
+def assert_one_error_line(err):
+    assert err.count("\n") == 1 and err.startswith("everettsim: ")
+    assert "Traceback" not in err
+
+
+def test_non_finite_amplitude_in_a_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "nan.ecirc"
+    path.write_text("wire c @ Alice\ninit c = (nan,0) |0> + (1,0) |1>\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "line 2, column 10: non-finite amplitude" in err
+
+
+def test_non_finite_amplitude_flag_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["teleport", "--alpha", "nan,0", "--beta", "1,0"])
+    assert exc.value.code == 2
+    assert "non-finite amplitude 'nan,0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target,argv", [
+    ("run_superdense", ("superdense", "--p", "0", "--q", "0")),
+    ("run_teleport", ("teleport", "--alpha", "1,0", "--beta", "0,0")),
+    ("exec_circuit", ("run", "prog.ecirc")),
+])
+def test_state_error_exits_one_with_one_line(capsys, tmp_path, monkeypatch, target, argv):
+    # injected, because the inputs that raise one today (a subnormal amplitude
+    # such as 1e-320 squares to a zero norm) are defects of their own
+    def fail(*args, **kwargs):
+        raise ZeroStateError("cannot compare a zero state up to phase")
+
+    monkeypatch.setattr(cli, target, fail)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "prog.ecirc").write_text(fixtures.read(fixtures.TELEPORT), encoding="utf-8")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert_one_error_line(err)
+    assert "zero state" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "1", "2.5"])
+def test_everett_tol_at_or_above_one_exits_two(capsys, monkeypatch, tol):
+    monkeypatch.setenv("EVERETT_TOL", tol)
+    with pytest.raises(SystemExit) as exc:
+        main(["teleport", "--alpha", "1,0", "--beta", "0,0"])
+    assert exc.value.code == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def test_non_utf8_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "latin1.ecirc"
+    path.write_bytes("wire c @ Alice # café\n".encode("latin-1"))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "not UTF-8" in err

@@ -1,7 +1,9 @@
 from pathlib import Path
 
+import pytest
+
 from everettsim import fixtures
-from everettsim.circuit import parse_circuit
+from everettsim.circuit import GATES, exec_circuit, parse_circuit
 from everettsim.render import render_ascii
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,3 +73,17 @@ def test_noop_transfer_draws_nothing():
     base = "wire a @ Alice\nwire b @ Bob\ninit a = |0>\n"
     with_noop = base + "transfer a -> Alice\n"
     assert render_ascii(parse_circuit(base)) == render_ascii(parse_circuit(with_noop))
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_every_gate_parses_runs_and_renders_its_box(name):
+    spec = GATES[name]
+    wires = [f"w{i}" for i in range(spec.arity)]
+    source = "".join(f"wire {w} @ Alice\ninit {w} = |0>\n" for w in wires)
+    source += f"gate {name} {' '.join(wires)} @ Alice\n"
+    prog = parse_circuit(source)
+    world, _ = exec_circuit(prog)
+    assert world.trace[-1].gate == spec.build().name
+    art = render_ascii(prog)
+    assert art.count(f"[{spec.label}]") == len(spec.boxes)
+    assert art.count("●") == len(spec.controls)
