@@ -38,6 +38,7 @@ from .state import (
     branch_decompose,
     equal_up_to_phase,
     fidelity,
+    norm_drift,
     qubit,
     schmidt_factor,
     tensor,
@@ -195,9 +196,8 @@ def apply_local(
             raise LocalityError(
                 f"{actor.value} cannot act on wire {t!r} held by {holder.value}"
             )
-    before = world.state.norm_sq
     state = apply(gate, targets, world.state)
-    if abs(state.norm_sq - before) > 1e-9 * max(before, 1.0):
+    if norm_drift(world.state, state) > 1e-9:
         raise ProtocolError(f"gate {gate.name or '?'} did not preserve the norm")
     event = GateEvent(len(world.trace), gate.name or f"U{gate.arity}", targets, actor.value)
     return ProtocolWorld(state, world.location, world.trace + (event,))
@@ -360,40 +360,31 @@ def derive_decode_table(tol: float = DEFAULT_TOL) -> DecodeTable:
     return DecodeTable(tuple(entries), is_identity)
 
 
-def teleport_branch_residual(x: int, y: int, alpha: complex, beta: complex, wire: str) -> PureState:
-    """Bob-side residual attached to pointer branch (x, y) after the Bell measurement."""
-    table = {
-        (0, 0): (alpha, beta),
-        (0, 1): (-beta, alpha),
-        (1, 0): (beta, alpha),
-        (1, 1): (-alpha, beta),
-    }
-    a0, a1 = table[(x, y)]
-    return qubit(wire, a0, a1)
+# Bob's residual on pointer branch (x, y) is row 2x+y applied to (alpha, beta):
+# 00 -> (alpha, beta), 01 -> (-beta, alpha), 10 -> (beta, alpha), 11 -> (-alpha, beta).
+# Derived by hand from the Bell expansion of the input, never from cu_meas or
+# u_b_decoder, because it is the reference those two gates are checked against.
+_TELEPORT_RESIDUALS = np.array(
+    [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[0, 1], [1, 0]], [[-1, 0], [0, 1]]], dtype=complex
+)
+# row 2x+y holds the amplitudes of bell(x, y)
+_BELL_ROWS = np.array([bell(x, y, ("m1", "m2")).amps for x in (0, 1) for y in (0, 1)])
 
 
 def _measured_superposition(alpha: complex, beta: complex) -> PureState:
-    """The four-branch state after Alice's Bell measurement, wires (E1,E2,u,a,b)."""
-    total = None
-    for x in (0, 1):
-        for y in (0, 1):
-            part = tensor(
-                basis_state(("E1", "E2"), (x, y)),
-                bell(x, y, ("u", "a")),
-                teleport_branch_residual(x, y, alpha, beta, "b"),
-            )
-            total = part if total is None else PureState(total.wires, total.amps + part.amps)
-    return total
+    """The four-branch state after Alice's Bell measurement, wires (E1,E2,u,a,b).
+
+    Branch (x, y) holds bell(x, y) on (u, a) and the residual table's row
+    (x, y) applied to (alpha, beta) on b.
+    """
+    residuals = _TELEPORT_RESIDUALS @ np.array([alpha, beta], dtype=complex)
+    amps = _BELL_ROWS[:, :, None] * residuals[:, None, :]
+    return PureState(("E1", "E2", "u", "a", "b"), amps.reshape(-1))
 
 
-def pointer_bell_sum(wires: Sequence[str] = ("E1", "E2", "u", "a")) -> PureState:
-    """Sum over all four pointer labels tensored with the matching Bell state."""
-    total = None
-    for x in (0, 1):
-        for y in (0, 1):
-            part = tensor(basis_state(wires[:2], (x, y)), bell(x, y, wires[2:]))
-            total = part if total is None else PureState(total.wires, total.amps + part.amps)
-    return total
+def pointer_bell_sum() -> PureState:
+    """Each pointer label on (E1, E2) with its Bell state on (u, a), summed over all four."""
+    return PureState(("E1", "E2", "u", "a"), _BELL_ROWS.reshape(-1))
 
 
 def _phase_canonical(state: PureState) -> tuple[PureState, complex]:

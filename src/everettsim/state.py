@@ -12,6 +12,7 @@ so states can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -22,6 +23,10 @@ if TYPE_CHECKING:
 
 DEFAULT_TOL = 1e-12
 BRANCH_TOL = 1e-10
+
+# squared norms in this range are used as summed: the product of two, times a
+# tolerance down to 2**-200, is still a normal float
+_NORM_SQ_RANGE = (2.0**-400, 2.0**400)
 
 
 class StateError(ValueError):
@@ -78,7 +83,8 @@ class PureState:
 
     @property
     def norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.amps, self.amps)))
+        """The plain sum of squares, which rounds to 0 or inf far from unit scale."""
+        return _sum_sq(self.amps)
 
     def index_of(self, bits: Sequence[int]) -> int:
         """Basis index of a full wire assignment."""
@@ -150,9 +156,51 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
 
 def inner_product(s1: PureState, s2: PureState) -> complex:
     """<s1|s2>, conjugate-linear in the first argument."""
+    _check_same_wires(s1, s2)
+    return complex(np.vdot(s1.amps, s2.amps))
+
+
+def _check_same_wires(s1: PureState, s2: PureState) -> None:
     if s1.wires != s2.wires:
         raise WireError(f"wire mismatch: {s1.wires} vs {s2.wires}")
-    return complex(np.vdot(s1.amps, s2.amps))
+
+
+def _sum_sq(amps: np.ndarray) -> float:
+    return float(np.real(np.vdot(amps, amps)))
+
+
+def _in_range(amps: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """(amps * 2**shift, its squared norm, shift), the norm safe to multiply.
+
+    shift is 0 whenever the plain sum of squares lies in _NORM_SQ_RANGE;
+    otherwise it puts the largest real or imaginary part in [1/2, 1) (a
+    modulus itself may overflow). The squared norm is 0.0 only when every
+    amplitude is zero.
+    """
+    norm_sq = _sum_sq(amps)
+    if _NORM_SQ_RANGE[0] <= norm_sq <= _NORM_SQ_RANGE[1]:
+        return amps, norm_sq, 0
+    peak = max(float(np.abs(amps.real).max()), float(np.abs(amps.imag).max()))
+    if peak == 0.0:
+        return amps, 0.0, 0
+    shift = -math.frexp(peak)[1]
+    scaled = _ldexp(amps, shift)
+    return scaled, _sum_sq(scaled), shift
+
+
+def _ldexp(amps: np.ndarray, shift: int) -> np.ndarray:
+    # np.ldexp takes real arrays only, and 2.0**shift need not be a float
+    return np.ldexp(amps.real, shift) + 1j * np.ldexp(amps.imag, shift)
+
+
+def _overlap(s1: PureState, s2: PureState, zero_message: str) -> tuple[float, float, float]:
+    """|<s1|s2>|^2, <s1|s1> and <s2|s2> after rescaling each state on its own."""
+    a1, n1, _ = _in_range(s1.amps)
+    a2, n2, _ = _in_range(s2.amps)
+    if n1 == 0.0 or n2 == 0.0:
+        raise ZeroStateError(zero_message)
+    _check_same_wires(s1, s2)
+    return abs(complex(np.vdot(a1, a2))) ** 2, n1, n2
 
 
 def equal_up_to_phase(s1: PureState, s2: PureState, tol: float = DEFAULT_TOL) -> bool:
@@ -161,20 +209,24 @@ def equal_up_to_phase(s1: PureState, s2: PureState, tol: float = DEFAULT_TOL) ->
     Tested via the Cauchy-Schwarz equality |<s1,s2>|^2 = <s1,s1><s2,s2>,
     relative to tol.
     """
-    n1, n2 = s1.norm_sq, s2.norm_sq
-    if n1 == 0.0 or n2 == 0.0:
-        raise ZeroStateError("cannot compare a zero state up to phase")
-    ip = abs(inner_product(s1, s2)) ** 2
+    ip, n1, n2 = _overlap(s1, s2, "cannot compare a zero state up to phase")
     return abs(ip - n1 * n2) <= tol * n1 * n2
 
 
 def fidelity(s1: PureState, s2: PureState) -> float:
     """|<s1|s2>|^2 on normalized copies, clamped into [0, 1]."""
-    n1, n2 = s1.norm_sq, s2.norm_sq
-    if n1 == 0.0 or n2 == 0.0:
-        raise ZeroStateError("fidelity of a zero state is undefined")
-    f = abs(inner_product(s1, s2)) ** 2 / (n1 * n2)
-    return min(max(f, 0.0), 1.0)
+    ip, n1, n2 = _overlap(s1, s2, "fidelity of a zero state is undefined")
+    return min(max(ip / (n1 * n2), 0.0), 1.0)
+
+
+def norm_drift(before: PureState, after: PureState) -> float:
+    """|<after|after> - <before|before>| / <before|before>, at any scale."""
+    _, n0, k0 = _in_range(before.amps)
+    _, n1, k1 = _in_range(after.amps)
+    if n0 == 0.0:
+        raise ZeroStateError("norm drift from a zero state is undefined")
+    # n0 and n1 were summed 4**k0 and 4**k1 times too large
+    return abs(math.ldexp(n1, 2 * (k0 - k1)) - n0) / n0
 
 
 def permute_wires(state: PureState, new_order: Sequence[str]) -> PureState:
@@ -214,7 +266,7 @@ def schmidt_factor(
     """
     if set(cut.left) | set(cut.right) != set(state.wires):
         raise WireError("cut does not cover exactly the state's wires")
-    if state.norm_sq == 0.0:
+    if _in_range(state.amps)[1] == 0.0:
         raise ZeroStateError("cannot factor a zero state")
     left_wires = tuple(w for w in state.wires if w in cut.left)
     right_wires = tuple(w for w in state.wires if w in cut.right)
@@ -275,7 +327,7 @@ def branch_decompose(
     except ValueError:
         missing = [w for w in pointer if w not in state.wires]
         raise WireError(f"unknown wire(s) {missing}") from None
-    total = state.norm_sq
+    _, total, shift = _in_range(state.amps)
     if total == 0.0:
         raise ZeroStateError("cannot decompose a zero state")
     rest = tuple(w for w in state.wires if w not in pointer)
@@ -285,8 +337,9 @@ def branch_decompose(
     branches = []
     for value in range(1 << k):
         residual = rows[value]
-        raw = float(np.real(np.vdot(residual, residual)))
-        weight = raw / total
+        raw = _sum_sq(residual)
+        # raw stays as stored; the weight needs the row at the total's scale
+        weight = (_sum_sq(_ldexp(residual, shift)) if shift else raw) / total
         if weight <= tol:
             continue
         bits = tuple((value >> (k - 1 - i)) & 1 for i in range(k))

@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines, or
 import pytest
 
 from everettsim import verify
+from everettsim.protocols import DecodeTable
 
 
 @pytest.fixture(scope="module")
@@ -23,3 +24,10 @@ def test_criterion(results, index):
 
 def test_every_criterion_is_covered(results):
     assert sorted(results) == list(range(1, 10))
+
+
+def test_check_5_pins_the_whole_decode_table(monkeypatch):
+    identity = DecodeTable(tuple(((p, q), (p, q)) for p in (0, 1) for q in (0, 1)), True)
+    monkeypatch.setattr(verify, "derive_decode_table", lambda: identity)
+    with pytest.raises(AssertionError, match="hand-derived table"):
+        verify._check_superdense_end_to_end()

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -183,8 +184,7 @@ def test_non_finite_amplitude_flag_exits_two(capsys):
     ("exec_circuit", ("run", "prog.ecirc")),
 ])
 def test_state_error_exits_one_with_one_line(capsys, tmp_path, monkeypatch, target, argv):
-    # injected, because the inputs that raise one today (a subnormal amplitude
-    # such as 1e-320 squares to a zero norm) are defects of their own
+    # injected, because no input is known to raise one
     def fail(*args, **kwargs):
         raise ZeroStateError("cannot compare a zero state up to phase")
 
@@ -215,3 +215,43 @@ def test_non_utf8_file_exits_two(capsys, tmp_path):
     err = capsys.readouterr().err
     assert_one_error_line(err)
     assert "not UTF-8" in err
+
+
+def test_verify_output_matches_golden(capsys):
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "verify.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("alpha,beta,bob", [
+    ("1e-200,0", "0,0", "(1.000000000000,0.000000000000) |0> + (0.000000000000,0.000000000000) |1>"),
+    ("1e160,0", "0,1e160", "(0.707106781187,0.000000000000) |0> + (0.000000000000,0.707106781187) |1>"),
+    ("1e100,0", "0,0", "(1.000000000000,0.000000000000) |0> + (0.000000000000,0.000000000000) |1>"),
+])
+def test_teleport_at_far_scales(capsys, alpha, beta, bob):
+    code, out, err = run_cli(capsys, "teleport", "--alpha", alpha, "--beta", beta)
+    assert (code, err) == (0, "")
+    assert "fidelity: 1.000000000000" in out
+    assert f"bob qubit: {bob}" in out
+
+
+@pytest.mark.parametrize("source", [
+    "wire c @ Alice\ninit c = (1e-200,0) |0> + (0,0) |1>\nassert factor c ~ |0>\n",
+    "wire E1 @ Bob\nwire E2 @ Bob\ninit E1 = (0,0) |0> + (1e-200,0) |1>\ninit E2 = |0>\n"
+    "assert pointer E1 E2 = 10\n",
+])
+def test_run_at_far_scales(capsys, tmp_path, source):
+    path = tmp_path / "far.ecirc"
+    path.write_text(source, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith("assertions: 1 passed, 0 failed\n")
+
+
+@pytest.mark.parametrize("alpha,beta", [("1e308,0", "1e308,0"), ("5e-324,0", "0,5e-324")])
+def test_teleport_past_the_float_range_exits_one_with_one_line(capsys, alpha, beta):
+    # the top singular value of the 1e308 state is not a float, and halving
+    # the smallest subnormal rounds, so no check can pass
+    code, out, err = run_cli(capsys, "teleport", "--alpha", alpha, "--beta", beta)
+    assert (code, out) == (1, "")
+    assert_one_error_line(err)

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from conftest import embed
 
-from everettsim.gates import bell, cu_meas, cu_sigma
+from everettsim import protocols
+from everettsim.gates import (
+    ControlSpec,
+    UnitaryGate,
+    bell,
+    control_unitary,
+    cu_meas,
+    cu_sigma,
+    sigma,
+)
 from everettsim.protocols import (
     Agent,
     DecomposeEvent,
@@ -22,6 +31,7 @@ from everettsim.protocols import (
     transfer,
 )
 from everettsim.state import (
+    PureState,
     basis_state,
     branch_decompose,
     equal_up_to_phase,
@@ -87,6 +97,17 @@ def test_gate_events_record_name_wires_actor():
     assert event.gate == "cu_sigma"
     assert event.wires == ("c", "d", "t")
     assert event.actor == "Alice"
+
+
+@pytest.mark.parametrize("scale", (1e-5, 1e160))
+def test_apply_local_rejects_a_norm_change_at_any_scale(monkeypatch, scale):
+    # a bound absolute below norm 1 let this pass, and so did inf - inf
+    world = init_wires(empty_world(), qubit("a", scale, 0), {"a": Agent.ALICE}, "far")
+    monkeypatch.setattr(
+        protocols, "apply", lambda gate, targets, state: PureState(state.wires, 2 * state.amps)
+    )
+    with pytest.raises(ProtocolError, match="did not preserve the norm"):
+        apply_local(world, sigma(0, 0), ("a",), Agent.ALICE)
 
 
 def test_init_requires_full_placements():
@@ -169,6 +190,15 @@ def test_superdense_rejects_non_bits():
         run_superdense(2, 0)
 
 
+def test_superdense_self_check_fires_on_a_tampered_encoder(monkeypatch):
+    run_superdense(0, 1)  # the real encoder passes the check
+    transposed = {(p, q): sigma(q, p) for p in (0, 1) for q in (0, 1)}
+    tampered = control_unitary(ControlSpec(2, transposed), name="cu_sigma")
+    monkeypatch.setattr(protocols, "cu_sigma", lambda: tampered)
+    with pytest.raises(ProtocolError, match=r"post-encoding state diverged for \(p,q\)=\(0,1\)"):
+        run_superdense(0, 1)
+
+
 def test_decode_table_is_the_expected_bijection():
     table = derive_decode_table()
     assert table.mapping == EXPECTED_TABLE
@@ -240,6 +270,16 @@ def test_teleport_post_measurement_state_against_brute_force():
         )
         want += part.amps
     assert np.allclose(vec, want / 2.0, atol=1e-12)
+
+
+def test_teleport_self_check_fires_on_a_tampered_measurement(monkeypatch):
+    alpha, beta = complex(0.28, -0.45), complex(0.71, 0.46)
+    run_teleport(alpha, beta)  # the real measurement passes the check
+    swap = np.eye(4)[[0, 2, 1, 3]]  # exchanges the pointer labels 01 and 10
+    tampered = UnitaryGate(4, np.kron(swap, np.eye(4)) @ cu_meas().matrix, name="cu_meas")
+    monkeypatch.setattr(protocols, "cu_meas", lambda: tampered)
+    with pytest.raises(ProtocolError, match="post-measurement state diverged"):
+        run_teleport(alpha, beta)
 
 
 def test_teleport_moves_both_pointer_wires():

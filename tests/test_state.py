@@ -16,6 +16,7 @@ from everettsim.state import (
     equal_up_to_phase,
     fidelity,
     inner_product,
+    norm_drift,
     permute_wires,
     qubit,
     schmidt_factor,
@@ -223,6 +224,37 @@ def test_zero_states_rejected():
         schmidt_factor(z, Bipartition(frozenset("a"), frozenset()))
     with pytest.raises(ZeroStateError):
         branch_decompose(z, ("a",))
+
+
+# -------------------------------------------------------------- far scales
+
+# at these scales a squared norm underflows or overflows, or the product of
+# two of them does
+FAR_SCALES = (1e-300, 1e-200, 1e-150, 1e150, 1e200, 1e300)
+
+
+@pytest.mark.parametrize("scale", FAR_SCALES)
+def test_comparisons_hold_at_any_scale(rng, scale):
+    s = rand_state(rng, ("a", "b", "c"))
+    other = rand_state(rng, s.wires)
+    far = PureState(s.wires, scale * s.amps)
+    assert equal_up_to_phase(far, s) and equal_up_to_phase(s, far)
+    assert not equal_up_to_phase(far, PureState(s.wires, scale * other.amps))
+    assert fidelity(far, other) == pytest.approx(fidelity(s, other), rel=1e-12)
+    cut = Bipartition(frozenset("a"), frozenset("bc"))
+    assert schmidt_factor(far, cut)[0] == schmidt_factor(s, cut)[0] == 2
+    near_weights = [b.weight for b in branch_decompose(s, ("a", "b")).branches]
+    far_weights = [b.weight for b in branch_decompose(far, ("a", "b")).branches]
+    assert far_weights == pytest.approx(near_weights, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", (1e-5, 1e-200, 1e160))
+def test_norm_drift_is_relative_at_any_scale(scale):
+    before = qubit("a", scale, 0)
+    assert norm_drift(before, qubit("a", 0, scale)) == 0.0
+    assert norm_drift(before, qubit("a", 2 * scale, 0)) == pytest.approx(3.0)
+    with pytest.raises(ZeroStateError):
+        norm_drift(PureState(("a",), np.zeros(2)), before)
 
 
 # ---------------------------------------------------------- schmidt factor
