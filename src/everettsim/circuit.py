@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Union
 
 from . import protocols
 from .gates import UnitaryGate, bell, cu_meas, cu_sigma, sigma, u_b_decoder
-from .state import Bipartition, equal_up_to_phase, qubit, schmidt_factor
+from .state import MAX_WIRES, Bipartition, equal_up_to_phase, qubit, schmidt_factor
 
 ASSERT_TOL = 1e-10
 
@@ -366,8 +366,20 @@ def exec_circuit(
     """Interpret a program; returns the final world and assertion outcomes.
 
     Assertions are recorded and execution continues past failures; locality
-    violations and malformed runtime states raise and halt.
+    violations and malformed runtime states raise and halt. A program that
+    initializes more than MAX_WIRES wires halts before its first statement,
+    naming the init that crosses the limit, so no part of it is allocated.
     """
+    planned: set[str] = set()
+    for stmt in prog.statements:
+        if isinstance(stmt, (InitKet, InitPair)):
+            planned.update(stmt.wires if isinstance(stmt, InitPair) else (stmt.wire,))
+            if len(planned) > MAX_WIRES:
+                raise CircuitError(
+                    f"line {stmt.line}: initializes wire {len(planned)}, "
+                    f"past the limit of {MAX_WIRES} wires for a dense state"
+                )
+
     world = protocols.empty_world()
     agents = {decl.label: protocols.Agent(decl.agent) for decl in prog.registers}
     initialized: set[str] = set()

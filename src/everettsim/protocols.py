@@ -379,7 +379,7 @@ def _measured_superposition(alpha: complex, beta: complex) -> PureState:
     """
     residuals = _TELEPORT_RESIDUALS @ np.array([alpha, beta], dtype=complex)
     amps = _BELL_ROWS[:, :, None] * residuals[:, None, :]
-    return PureState(("E1", "E2", "u", "a", "b"), amps.reshape(-1))
+    return PureState._adopt(("E1", "E2", "u", "a", "b"), amps.reshape(-1))
 
 
 def pointer_bell_sum() -> PureState:
@@ -392,7 +392,7 @@ def _phase_canonical(state: PureState) -> tuple[PureState, complex]:
     idx = int(np.argmax(np.abs(state.amps)))
     a = state.amps[idx]
     phase = a / abs(a)
-    return PureState(state.wires, state.amps * np.conj(phase)), phase
+    return PureState._adopt(state.wires, state.amps * np.conj(phase)), phase
 
 
 def run_teleport(alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> TeleportResult:
@@ -434,7 +434,7 @@ def run_teleport(alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> Tel
         raise ProtocolError(f"final state is not a product across the b cut (rank {rank})")
     pointer_side, bob = factors
     bob, phase = _phase_canonical(bob)
-    pointer_side = PureState(pointer_side.wires, pointer_side.amps * phase)
+    pointer_side = PureState._adopt(pointer_side.wires, pointer_side.amps * phase)
     fid = fidelity(bob, qubit("b", alpha, beta))
     return TeleportResult(
         input=(alpha, beta),

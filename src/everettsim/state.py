@@ -12,6 +12,7 @@ so states can be shared freely between threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -24,9 +25,25 @@ if TYPE_CHECKING:
 DEFAULT_TOL = 1e-12
 BRANCH_TOL = 1e-10
 
+# the widest dense state: 2**24 amplitudes take 256 MiB, and a kernel holds
+# two or three such vectors at once
+MAX_WIRES = 24
+
 # squared norms in this range are used as summed: the product of two, times a
 # tolerance down to 2**-200, is still a normal float
 _NORM_SQ_RANGE = (2.0**-400, 2.0**400)
+
+# OpenBLAS (0.3.31, as numpy's wheels ship it) hands a call to its worker
+# threads above 2**15 complex multiply-adds in a matrix product, 2**11 matrix
+# elements in a matrix-vector product (also inside LAPACK's QR) and 10**4
+# elements in a dot product. A threaded call returns only when every worker
+# has been scheduled, so its time follows the load on the other cores: on a
+# 2-core x86-64 VM one product of a 2x2 gate with 2**14 columns took 320 us
+# threaded, against 80 us as two one-thread halves. The kernels keep each
+# BLAS call below these sizes.
+_GEMM_BLOCK = 1 << 15
+_GEMV_BLOCK = 1 << 11
+_DOT_BLOCK = 1 << 13
 
 
 class StateError(ValueError):
@@ -42,8 +59,9 @@ class ZeroStateError(StateError):
 
 
 def fmt12(x: float) -> str:
-    """Format a float with 12 decimal places, folding negative zero."""
-    return f"{x + 0.0:.12f}"
+    """Format a float with 12 decimal places; anything that rounds to zero prints unsigned."""
+    text = f"{x:.12f}"
+    return text[1:] if text == "-0.000000000000" else text
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +72,11 @@ class PureState:
     binary expansion of ``i`` over the wires (first wire = most significant
     bit). Amplitudes must be finite; the all-zero vector is representable but
     rejected by every analytical operation.
+
+    The constructor copies and validates its input. The kernels in this
+    package hand their results over through ``_adopt`` instead, which takes
+    the array as it is. Either way ``amps`` is read-only from then on, and
+    the plain sum of squares is computed once, at construction.
     """
 
     wires: tuple[str, ...]
@@ -71,11 +94,33 @@ class PureState:
             raise StateError(
                 f"{len(wires)} wires need {1 << len(wires)} amplitudes, got {amps.shape[0]}"
             )
-        if not np.isfinite(amps).all():
+        object.__setattr__(self, "wires", wires)
+        self._seal(amps)
+
+    @classmethod
+    def _adopt(cls, wires: tuple[str, ...], amps: np.ndarray) -> PureState:
+        """A state over ``amps`` as it is, without a copy.
+
+        The caller vouches that ``wires`` are valid and distinct, that ``amps``
+        is a flat complex array of the matching length, and that nothing
+        writes to it afterwards: an array the caller has just allocated, or a
+        view of another state's read-only amplitudes. Only the finiteness
+        check runs.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "wires", wires)
+        state._seal(amps)
+        return state
+
+    def _seal(self, amps: np.ndarray) -> None:
+        norm_sq = _sum_sq(amps)
+        # a finite sum of squares proves every amplitude finite; only an
+        # overflowed (or nan) one needs the element-wise scan
+        if not math.isfinite(norm_sq) and not np.isfinite(amps).all():
             raise StateError("non-finite amplitude")
         amps.setflags(write=False)
-        object.__setattr__(self, "wires", wires)
         object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "_norm_sq", norm_sq)
 
     @property
     def n_wires(self) -> int:
@@ -84,7 +129,7 @@ class PureState:
     @property
     def norm_sq(self) -> float:
         """The plain sum of squares, which rounds to 0 or inf far from unit scale."""
-        return _sum_sq(self.amps)
+        return self._norm_sq
 
     def index_of(self, bits: Sequence[int]) -> int:
         """Basis index of a full wire assignment."""
@@ -123,14 +168,19 @@ def tensor(*states: PureState) -> PureState:
     if not states:
         raise StateError("tensor needs at least one state")
     wires: tuple[str, ...] = ()
-    amps = np.ones(1, dtype=complex)
     for s in states:
         overlap = set(wires) & set(s.wires)
         if overlap:
             raise WireError(f"duplicate wire labels across factors: {sorted(overlap)}")
         wires = wires + s.wires
+    if len(wires) > MAX_WIRES:
+        raise StateError(
+            f"a dense state of {len(wires)} wires exceeds the limit of {MAX_WIRES} wires"
+        )
+    amps = states[0].amps
+    for s in states[1:]:
         amps = np.kron(amps, s.amps)
-    return PureState(wires, amps)
+    return PureState._adopt(wires, amps)
 
 
 def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureState:
@@ -147,11 +197,21 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
         missing = [t for t in targets if t not in state.wires]
         raise WireError(f"unknown wire(s) {missing}") from None
     n = state.n_wires
-    arr = state.amps.reshape((2,) * n)
-    arr = np.moveaxis(arr, positions, range(k))
-    arr = gate.matrix @ arr.reshape(1 << k, -1)
-    arr = np.moveaxis(arr.reshape((2,) * n), range(k), positions)
-    return PureState(state.wires, arr.reshape(-1))
+    # the target axes moved to the front, in the input and in the result
+    src = np.moveaxis(state.amps.reshape((2,) * n), positions, range(k))
+    out = np.empty(1 << n, dtype=complex)
+    dst = np.moveaxis(out.reshape((2,) * n), positions, range(k))
+    # One block for each value of the other wires but the last `inner`: the
+    # gate times the block's 2**k x 2**inner amplitudes, one BLAS call below
+    # _GEMM_BLOCK, written straight into the result. No vector-sized
+    # temporary is made.
+    inner = min(n - k, max(0, (_GEMM_BLOCK // gate.matrix.size).bit_length() - 1))
+    shape = (1 << k, 1 << inner)
+    every_target = (slice(None),) * k
+    for idx in itertools.product((0, 1), repeat=n - k - inner):
+        block = dst[every_target + idx]
+        block[...] = (gate.matrix @ src[every_target + idx].reshape(shape)).reshape(block.shape)
+    return PureState._adopt(state.wires, out)
 
 
 def inner_product(s1: PureState, s2: PureState) -> complex:
@@ -166,10 +226,14 @@ def _check_same_wires(s1: PureState, s2: PureState) -> None:
 
 
 def _sum_sq(amps: np.ndarray) -> float:
-    return float(np.real(np.vdot(amps, amps)))
+    if amps.size <= _DOT_BLOCK:
+        return float(np.real(np.vdot(amps, amps)))
+    # the real and imaginary parts in blocks, each one BLAS dot of _DOT_BLOCK
+    parts = np.ascontiguousarray(amps).view(np.float64).reshape(-1, 1, _DOT_BLOCK)
+    return float(np.matmul(parts, parts.swapaxes(1, 2)).sum())
 
 
-def _in_range(amps: np.ndarray) -> tuple[np.ndarray, float, int]:
+def _in_range(state: PureState) -> tuple[np.ndarray, float, int]:
     """(amps * 2**shift, its squared norm, shift), the norm safe to multiply.
 
     shift is 0 whenever the plain sum of squares lies in _NORM_SQ_RANGE;
@@ -177,7 +241,7 @@ def _in_range(amps: np.ndarray) -> tuple[np.ndarray, float, int]:
     modulus itself may overflow). The squared norm is 0.0 only when every
     amplitude is zero.
     """
-    norm_sq = _sum_sq(amps)
+    amps, norm_sq = state.amps, state.norm_sq
     if _NORM_SQ_RANGE[0] <= norm_sq <= _NORM_SQ_RANGE[1]:
         return amps, norm_sq, 0
     peak = max(float(np.abs(amps.real).max()), float(np.abs(amps.imag).max()))
@@ -195,8 +259,8 @@ def _ldexp(amps: np.ndarray, shift: int) -> np.ndarray:
 
 def _overlap(s1: PureState, s2: PureState, zero_message: str) -> tuple[float, float, float]:
     """|<s1|s2>|^2, <s1|s1> and <s2|s2> after rescaling each state on its own."""
-    a1, n1, _ = _in_range(s1.amps)
-    a2, n2, _ = _in_range(s2.amps)
+    a1, n1, _ = _in_range(s1)
+    a2, n2, _ = _in_range(s2)
     if n1 == 0.0 or n2 == 0.0:
         raise ZeroStateError(zero_message)
     _check_same_wires(s1, s2)
@@ -221,8 +285,8 @@ def fidelity(s1: PureState, s2: PureState) -> float:
 
 def norm_drift(before: PureState, after: PureState) -> float:
     """|<after|after> - <before|before>| / <before|before>, at any scale."""
-    _, n0, k0 = _in_range(before.amps)
-    _, n1, k1 = _in_range(after.amps)
+    _, n0, k0 = _in_range(before)
+    _, n1, k1 = _in_range(after)
     if n0 == 0.0:
         raise ZeroStateError("norm drift from a zero state is undefined")
     # n0 and n1 were summed 4**k0 and 4**k1 times too large
@@ -236,7 +300,7 @@ def permute_wires(state: PureState, new_order: Sequence[str]) -> PureState:
         raise WireError(f"{new_order} is not a permutation of {state.wires}")
     positions = [state.wires.index(w) for w in new_order]
     arr = state.amps.reshape((2,) * state.n_wires).transpose(positions)
-    return PureState(new_order, arr.reshape(-1))
+    return PureState._adopt(new_order, arr.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -262,24 +326,57 @@ def schmidt_factor(
 
     The rank counts singular values above tol times the largest one. When it
     is 1 the returned (left, right) factors satisfy tensor(left, right) ==
-    state up to rounding, with each side's wires in state order.
+    state up to rounding, with each side's wires in state order. The factor
+    on the side with fewer amplitudes (the right one on a square cut) has
+    norm 1; the other carries the state's norm.
     """
     if set(cut.left) | set(cut.right) != set(state.wires):
         raise WireError("cut does not cover exactly the state's wires")
-    if _in_range(state.amps)[1] == 0.0:
+    scaled, norm_sq, shift = _in_range(state)
+    if norm_sq == 0.0:
         raise ZeroStateError("cannot factor a zero state")
     left_wires = tuple(w for w in state.wires if w in cut.left)
     right_wires = tuple(w for w in state.wires if w in cut.right)
     positions = [state.wires.index(w) for w in left_wires]
-    arr = np.moveaxis(state.amps.reshape((2,) * state.n_wires), positions, range(len(positions)))
+    arr = np.moveaxis(scaled.reshape((2,) * state.n_wires), positions, range(len(positions)))
     mat = arr.reshape(1 << len(left_wires), 1 << len(right_wires))
-    u, sv, vh = np.linalg.svd(mat, full_matrices=False)
+    # The SVD runs on the small triangular R of a Householder QR of the tall
+    # orientation, which has the same singular values and right singular
+    # vectors. QR is backward-stable, so the rank test keeps its meaning
+    # (a Gram matrix would square the tolerance).
+    tall = mat if mat.shape[0] >= mat.shape[1] else mat.T
+    _, sv, vh = np.linalg.svd(_r_factor(tall))
     rank = int(np.sum(sv > tol * sv[0]))
     if rank != 1:
         return rank, None
-    left = PureState(left_wires, u[:, 0] * sv[0])
-    right = PureState(right_wires, vh[0, :])
-    return 1, (left, right)
+    small = vh[0]
+    # row blocks, each one BLAS call below _GEMV_BLOCK
+    rows, cols = tall.shape
+    step = min(rows, max(1, _GEMV_BLOCK // cols))
+    big = np.matmul(np.reshape(tall, (-1, step, cols)), small.conj()).reshape(-1)
+    if shift:
+        big = _ldexp(big, -shift)
+    # mat == outer(big, small) when tall is mat, and outer(small, big) when it is mat.T
+    left, right = (big, small) if tall is mat else (small, big)
+    return 1, (PureState._adopt(left_wires, left), PureState._adopt(right_wires, right))
+
+
+def _r_factor(tall: np.ndarray) -> np.ndarray:
+    """R of a Householder QR of a tall matrix, reduced from row blocks (TSQR).
+
+    Stacking the R factors of the row blocks gives a matrix whose R is the
+    R of the whole, up to the phases of its rows, which change neither the
+    singular values nor the right singular vectors. Each block's QR stays
+    below _GEMV_BLOCK, in cache and on one thread; the reduction repeats
+    until one block is left. It is backward-stable like the plain QR.
+    """
+    rows, cols = tall.shape
+    block = max(2 * cols, _GEMV_BLOCK // cols)
+    while rows > block:
+        stacked = np.linalg.qr(np.reshape(tall, (rows // block, block, cols)), mode="r")
+        tall = stacked.reshape(-1, cols)
+        rows = tall.shape[0]
+    return np.linalg.qr(tall, mode="r")
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +424,7 @@ def branch_decompose(
     except ValueError:
         missing = [w for w in pointer if w not in state.wires]
         raise WireError(f"unknown wire(s) {missing}") from None
-    _, total, shift = _in_range(state.amps)
+    _, total, shift = _in_range(state)
     if total == 0.0:
         raise ZeroStateError("cannot decompose a zero state")
     rest = tuple(w for w in state.wires if w not in pointer)
@@ -336,14 +433,15 @@ def branch_decompose(
     rows = arr.reshape(1 << k, -1)
     branches = []
     for value in range(1 << k):
-        residual = rows[value]
-        raw = _sum_sq(residual)
+        # a row of a read-only state or of a fresh gather, never written again
+        residual = PureState._adopt(rest, rows[value])
+        raw = residual.norm_sq
         # raw stays as stored; the weight needs the row at the total's scale
-        weight = (_sum_sq(_ldexp(residual, shift)) if shift else raw) / total
+        weight = (_sum_sq(_ldexp(residual.amps, shift)) if shift else raw) / total
         if weight <= tol:
             continue
         bits = tuple((value >> (k - 1 - i)) & 1 for i in range(k))
-        branches.append(Branch(bits, PureState(rest, residual), raw, weight))
+        branches.append(Branch(bits, residual, raw, weight))
     return BranchDecomposition(pointer, tuple(branches), total)
 
 

@@ -52,3 +52,13 @@ def random_amps(rng: np.random.Generator, dim: int) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def kron_forbidden(monkeypatch) -> None:
+    """Make any np.kron call fail, to show a bound is checked before allocating."""
+
+    def no_allocation(*args):
+        raise AssertionError("np.kron called past the wire limit")
+
+    monkeypatch.setattr(np, "kron", no_allocation)

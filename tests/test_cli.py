@@ -6,7 +6,7 @@ import pytest
 from everettsim import cli, fixtures
 from everettsim.circuit import superdense_source
 from everettsim.cli import main
-from everettsim.state import ZeroStateError
+from everettsim.state import MAX_WIRES, ZeroStateError
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +227,7 @@ def test_verify_output_matches_golden(capsys):
     ("1e-200,0", "0,0", "(1.000000000000,0.000000000000) |0> + (0.000000000000,0.000000000000) |1>"),
     ("1e160,0", "0,1e160", "(0.707106781187,0.000000000000) |0> + (0.000000000000,0.707106781187) |1>"),
     ("1e100,0", "0,0", "(1.000000000000,0.000000000000) |0> + (0.000000000000,0.000000000000) |1>"),
+    ("1e308,0", "1e308,0", "(0.707106781187,0.000000000000) |0> + (0.707106781187,0.000000000000) |1>"),
 ])
 def test_teleport_at_far_scales(capsys, alpha, beta, bob):
     code, out, err = run_cli(capsys, "teleport", "--alpha", alpha, "--beta", beta)
@@ -248,10 +249,29 @@ def test_run_at_far_scales(capsys, tmp_path, source):
     assert out.endswith("assertions: 1 passed, 0 failed\n")
 
 
-@pytest.mark.parametrize("alpha,beta", [("1e308,0", "1e308,0"), ("5e-324,0", "0,5e-324")])
+@pytest.mark.parametrize("alpha,beta", [("5e-324,0", "0,5e-324")])
 def test_teleport_past_the_float_range_exits_one_with_one_line(capsys, alpha, beta):
-    # the top singular value of the 1e308 state is not a float, and halving
-    # the smallest subnormal rounds, so no check can pass
+    # halving the smallest subnormal rounds, so the norm check fails
     code, out, err = run_cli(capsys, "teleport", "--alpha", alpha, "--beta", beta)
     assert (code, out) == (1, "")
     assert_one_error_line(err)
+
+
+def test_teleport_prints_no_negative_zero(capsys):
+    code, out, _ = run_cli(capsys, "teleport", "--alpha=1,0", "--beta=-1e-14,0")
+    assert code == 0
+    assert "-0.000000000000" not in out
+    assert "beta=(0.000000000000,0.000000000000)" in out
+    assert "+ (0.000000000000,0.000000000000) |1>" in out
+
+
+def test_run_past_the_wire_limit_fails_before_allocating(capsys, tmp_path, kron_forbidden):
+    n = MAX_WIRES + 1
+    lines = [f"wire w{i} @ Alice" for i in range(n)] + [f"init w{i} = |0>" for i in range(n)]
+    path = tmp_path / "wide.ecirc"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (1, "")
+    assert_one_error_line(err)
+    # the 25th init is on line 2n
+    assert f"line {2 * n}: initializes wire {n}" in err

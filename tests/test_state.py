@@ -4,6 +4,8 @@ from conftest import embed, random_amps, random_unitary
 
 from everettsim.gates import UnitaryGate, bell, sigma
 from everettsim.state import (
+    DEFAULT_TOL,
+    MAX_WIRES,
     Bipartition,
     PureState,
     StateError,
@@ -15,6 +17,7 @@ from everettsim.state import (
     dump_state,
     equal_up_to_phase,
     fidelity,
+    fmt12,
     inner_product,
     norm_drift,
     permute_wires,
@@ -98,6 +101,14 @@ def test_tensor_rejects_duplicate_labels():
         tensor(qubit("a", 1, 0), qubit("a", 1, 0))
 
 
+def test_tensor_refuses_a_state_wider_than_max_wires(kron_forbidden):
+    half = (MAX_WIRES + 2) // 2
+    s1 = basis_state(tuple(f"l{i}" for i in range(half)), (0,) * half)
+    s2 = basis_state(tuple(f"r{i}" for i in range(half)), (1,) * half)
+    with pytest.raises(StateError, match=f"{2 * half} wires exceeds the limit of {MAX_WIRES}"):
+        tensor(s1, s2)
+
+
 def test_tensor_is_associative_up_to_wire_order(rng):
     # exact for the integer amplitudes the protocols use ...
     e1, e2, e3 = bell(0, 1, ("a", "b")), basis_state(("c",), (1,)), bell(1, 1, ("d", "e"))
@@ -128,16 +139,53 @@ def test_bit_flip_on_half_of_a_shared_pair():
 
 
 def test_apply_agrees_with_brute_force_embedding(rng):
-    for _ in range(25):
-        n = int(rng.integers(2, 6))
+    # arities 1..4 (cu_meas is 4) on up to 7 wires, targets in any order
+    for _ in range(60):
+        n = int(rng.integers(1, 8))
         wires = tuple(f"w{i}" for i in range(n))
-        k = int(rng.integers(1, min(n, 3) + 1))
+        k = int(rng.integers(1, min(n, 4) + 1))
         positions = list(rng.choice(n, size=k, replace=False))
         gate = UnitaryGate(k, random_unitary(rng, 1 << k))
         s = rand_state(rng, wires)
         got = apply(gate, tuple(wires[p] for p in positions), s)
         want = embed(gate.matrix, positions, n) @ s.amps
         assert np.allclose(got.amps, want, atol=1e-12)
+        assert not got.amps.flags.writeable
+        assert not np.shares_memory(got.amps, s.amps)
+
+
+def test_kernels_split_long_blas_calls_into_blocks_that_agree(rng):
+    # 16 wires: apply, norm_sq and the large Schmidt factor all run as
+    # stacks of BLAS blocks (4 of them for one wire, 32 for four)
+    n = 16
+    wires = tuple(f"w{i}" for i in range(n))
+    s = rand_state(rng, wires)
+    for positions in ([9], [3, 14, 0, 7]):
+        k = len(positions)
+        gate = UnitaryGate(k, random_unitary(rng, 1 << k))
+        got = apply(gate, tuple(wires[p] for p in positions), s)
+        rows = np.moveaxis(s.amps.reshape((2,) * n), positions, range(k)).reshape(1 << k, -1)
+        want = np.moveaxis((gate.matrix @ rows).reshape((2,) * n), range(k), positions)
+        assert np.allclose(got.amps, want.reshape(-1), rtol=0, atol=1e-12)
+    assert s.norm_sq == pytest.approx(np.vdot(s.amps, s.amps).real, rel=1e-12)
+    for split in ((wires[:1], wires[1:]), (wires[:-1], wires[-1:])):
+        joint = tensor(rand_state(rng, split[0]), rand_state(rng, split[1]))
+        rank, (left, right) = schmidt_factor(joint, Bipartition(*split))
+        assert rank == 1
+        assert np.allclose(tensor(left, right).amps, joint.amps, rtol=0, atol=1e-12)
+    # the QR reduces over row blocks: a second Schmidt direction that lives
+    # in one row of the 2**15 x 2 cut matrix counts wherever that row is
+    right = rand_state(rng, wires[-1:]).amps
+    product = tensor(rand_state(rng, wires[:-1]), PureState(wires[-1:], right))
+    # a unit row orthogonal to every row of the product's cut matrix
+    orth = np.array([right[1], -right[0]]).conj() / np.linalg.norm(right)
+    for row in (0, 12345, (1 << 15) - 1):
+        for eps, want in ((1e-3 * DEFAULT_TOL, 1), (1e3 * DEFAULT_TOL, 2)):
+            mat = product.amps.reshape(-1, 2).copy()
+            # second singular value about eps times the first
+            mat[row] += eps * np.sqrt(product.norm_sq) * orth
+            s = PureState(wires, mat.reshape(-1))
+            assert schmidt_factor(s, Bipartition(wires[:-1], wires[-1:]))[0] == want
 
 
 def test_apply_preserves_norm_for_random_gates(rng):
@@ -277,6 +325,57 @@ def test_shared_pair_has_rank_two():
     assert factors is None
 
 
+@pytest.mark.parametrize("left_wires,right_wires", [
+    (("a",), ("b", "c", "d", "e")),  # the small side on the left
+    (("a", "b", "c", "d"), ("e",)),  # the small side on the right
+    (("a", "b"), ("c", "d")),  # square
+])
+def test_schmidt_factors_either_orientation(rng, left_wires, right_wires):
+    s1, s2 = rand_state(rng, left_wires), rand_state(rng, right_wires)
+    # interleave the two sides, each keeping its own order
+    sides = [list(left_wires), list(right_wires)]
+    picks = rng.permutation([0] * len(left_wires) + [1] * len(right_wires))
+    joint = permute_wires(tensor(s1, s2), [sides[p].pop(0) for p in picks])
+    rank, (left, right) = schmidt_factor(joint, Bipartition(left_wires, right_wires))
+    assert rank == 1
+    assert (left.wires, right.wires) == (left_wires, right_wires)
+    assert equal_up_to_phase(left, s1) and equal_up_to_phase(right, s2)
+    # the side with fewer amplitudes is a unit vector, the other carries the norm
+    unit = left if len(left_wires) < len(right_wires) else right
+    assert unit.norm_sq == pytest.approx(1.0, abs=1e-12)
+    rebuilt = permute_wires(tensor(left, right), joint.wires)
+    assert np.allclose(rebuilt.amps, joint.amps, atol=1e-12 * np.abs(joint.amps).max())
+
+
+@pytest.mark.parametrize("cut", [
+    Bipartition(frozenset("a"), frozenset("bcdef")),
+    Bipartition(frozenset("bcdef"), frozenset("a")),
+])
+def test_schmidt_rank_threshold_is_relative_to_tol(rng, cut):
+    # a unit product plus eps times a unit state of Schmidt rank 2 across
+    # the cut has second singular value about eps/sqrt(2)
+    product = tensor(rand_state(rng, ("a",)), rand_state(rng, ("b", "c", "d", "e", "f")))
+    product = PureState(product.wires, product.amps / np.sqrt(product.norm_sq))
+    entangled = tensor(bell(0, 0, ("a", "b")), basis_state(("c", "d", "e", "f"), (1, 0, 1, 1)))
+    entangled = PureState(entangled.wires, entangled.amps / np.sqrt(2))
+    for eps, want in ((1e-3 * DEFAULT_TOL, 1), (1e3 * DEFAULT_TOL, 2)):
+        s = PureState(product.wires, product.amps + eps * entangled.amps)
+        assert schmidt_factor(s, cut)[0] == want
+
+
+@pytest.mark.parametrize("scale", (1e-300, 1e300))
+@pytest.mark.parametrize("split", [(("a",), ("b", "c")), (("a", "b"), ("c",))])
+def test_schmidt_factors_rebuild_the_state_at_far_scales(rng, scale, split):
+    s1, s2 = rand_state(rng, split[0]), rand_state(rng, split[1])
+    joint = tensor(s1, s2)
+    far = PureState(joint.wires, scale * joint.amps)
+    rank, (left, right) = schmidt_factor(far, Bipartition(*split))
+    assert rank == 1
+    rebuilt = tensor(left, right)
+    atol = 1e-12 * np.abs(joint.amps).max()
+    assert np.allclose(rebuilt.amps / scale, joint.amps, rtol=1e-12, atol=atol)
+
+
 def test_schmidt_recovers_tensor_factors(rng):
     for _ in range(20):
         s1 = rand_state(rng, ("a", "b"))
@@ -367,6 +466,18 @@ def test_branch_decompose_rejects_bad_pointers(rng):
 
 
 # -------------------------------------------------------------------- dump
+
+
+@pytest.mark.parametrize("x,text", [
+    (-0.0, "0.000000000000"),
+    (-1e-14, "0.000000000000"),
+    (-4.9e-13, "0.000000000000"),
+    (-6e-13, "-0.000000000001"),
+    (1e-14, "0.000000000000"),
+    (-0.5, "-0.500000000000"),
+])
+def test_fmt12_prints_no_negative_zero(x, text):
+    assert fmt12(x) == text
 
 
 def test_dump_format_is_sorted_and_sparse():
