@@ -454,15 +454,13 @@ def exec_circuit(
     return world, outcomes
 
 
+def _wire_lines(layout: dict[str, protocols.Agent]) -> str:
+    return "".join(f"wire {w} @ {agent.value}\n" for w, agent in layout.items())
+
+
 def superdense_source(p: int, q: int, expect: tuple[int, int]) -> str:
     """Program text for one superdense run asserting the given pointer label."""
-    return (
-        "wire c @ Alice\n"
-        "wire d @ Alice\n"
-        "wire a @ Alice\n"
-        "wire b @ Bob\n"
-        "wire E1 @ Bob\n"
-        "wire E2 @ Bob\n"
+    return _wire_lines(protocols.SUPERDENSE_WIRES) + (
         f"init c = |{p}>\n"
         f"init d = |{q}>\n"
         "init pair a b = bell 0 0\n"
@@ -479,25 +477,16 @@ def teleport_source(alpha: complex, beta: complex) -> str:
     """Program text for one teleportation run asserting Bob's factor."""
     alpha = complex(alpha)
     beta = complex(beta)
-    expr = KetExpr(alpha, beta)
-    if expr.text in ("|0>", "|1>"):
-        init_u = expr.text
-        ket = expr.text
-    else:
-        init_u = (
+    ket = KetExpr(alpha, beta).text
+    if ket not in ("|0>", "|1>"):
+        ket = (
             f"({_shortf(alpha.real)},{_shortf(alpha.imag)}) |0> "
             f"+ ({_shortf(beta.real)},{_shortf(beta.imag)}) |1>"
         )
-        ket = init_u
-    return (
-        "wire E1 @ Alice\n"
-        "wire E2 @ Alice\n"
-        "wire u @ Alice\n"
-        "wire a @ Alice\n"
-        "wire b @ Bob\n"
+    return _wire_lines(protocols.TELEPORT_WIRES) + (
         "init E1 = |0>\n"
         "init E2 = |0>\n"
-        f"init u = {init_u}\n"
+        f"init u = {ket}\n"
         "init pair a b = bell 0 0\n"
         "gate cu_meas E1 E2 u a @ Alice\n"
         "transfer E1 -> Bob\n"

@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import os
+import re
 import sys
 
 from . import reports, verify
-from .circuit import CircuitError, CircuitParseError, exec_circuit, parse_circuit
+from .circuit import ASSERT_TOL, CircuitError, CircuitParseError, exec_circuit, parse_circuit
 from .protocols import ProtocolError, derive_decode_table, run_superdense, run_teleport
 from .render import render_ascii
 from .state import DEFAULT_TOL, StateError
@@ -46,6 +47,21 @@ def _amplitude(text: str) -> complex:
     if not cmath.isfinite(value):
         raise argparse.ArgumentTypeError(f"non-finite amplitude {text!r}")
     return value
+
+
+# argparse takes `-1,0` for an option; a value that float() reads as
+# negative, nan and inf included, is attached to its flag as `--beta=-1,0`
+_NEGATIVE = re.compile(r"-([0-9.]|nan|inf)", re.IGNORECASE)
+
+
+def _attach_negative_amplitudes(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--alpha", "--beta") and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,7 +132,8 @@ def _parse_file(path: str):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_negative_amplitudes(argv))
     try:
         return _dispatch(args)
     except (ProtocolError, CircuitError, StateError) as err:
@@ -145,7 +162,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.verb == "run":
         prog = _parse_file(args.file)
-        _, outcomes = exec_circuit(prog, tol=_tolerance(1e-10))
+        _, outcomes = exec_circuit(prog, tol=_tolerance(ASSERT_TOL))
         for line in reports.run_lines(outcomes, args.json):
             print(line)
         return 0 if all(o.passed for o in outcomes) else 1

@@ -250,10 +250,20 @@ def _check_bit(name: str, value: int) -> None:
 @dataclass(frozen=True, eq=False)
 class SuperdenseResult:
     input: tuple[int, int]
-    pointer: tuple[int, int]
-    final_state: PureState
-    branch_count: int
+    decomposition: BranchDecomposition  # of the final state on (E1, E2)
     world: ProtocolWorld
+
+    @property
+    def pointer(self) -> tuple[int, ...]:
+        return self.decomposition.branches[0].bits
+
+    @property
+    def final_state(self) -> PureState:
+        return self.world.state
+
+    @property
+    def branch_count(self) -> int:
+        return len(self.decomposition.branches)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,6 +288,30 @@ class DecodeTable:
         return dict(self.entries)
 
 
+# Each protocol's wires in state order, with the agent holding each at the
+# start. The runners, their oracles and the DSL templates all read these.
+SUPERDENSE_WIRES = {
+    "c": Agent.ALICE,
+    "d": Agent.ALICE,
+    "a": Agent.ALICE,
+    "b": Agent.BOB,
+    "E1": Agent.BOB,
+    "E2": Agent.BOB,
+}
+TELEPORT_WIRES = {
+    "E1": Agent.ALICE,
+    "E2": Agent.ALICE,
+    "u": Agent.ALICE,
+    "a": Agent.ALICE,
+    "b": Agent.BOB,
+}
+
+
+def _superdense_state(p: int, q: int, pair: PureState) -> PureState:
+    """Knowledge (p, q) on (c, d), the given pair on (a, b), a reset pointer on (E1, E2)."""
+    return tensor(basis_state(("c", "d"), (p, q)), pair, basis_state(("E1", "E2"), (0, 0)))
+
+
 def superdense_encoded(p: int, q: int) -> PureState:
     """The whole state after Alice encodes (p, q), wires (c, d, a, b, E1, E2).
 
@@ -286,11 +320,7 @@ def superdense_encoded(p: int, q: int) -> PureState:
     pair = np.zeros(4, dtype=complex)
     pair[((p + q) % 2) << 1] = (-1.0) ** p
     pair[(((p + q + 1) % 2) << 1) | 1] = 1.0
-    return tensor(
-        basis_state(("c", "d"), (p, q)),
-        PureState(("a", "b"), pair),
-        basis_state(("E1", "E2"), (0, 0)),
-    )
+    return _superdense_state(p, q, PureState(("a", "b"), pair))
 
 
 def run_superdense(p: int, q: int, tol: float = DEFAULT_TOL) -> SuperdenseResult:
@@ -303,22 +333,8 @@ def run_superdense(p: int, q: int, tol: float = DEFAULT_TOL) -> SuperdenseResult
     """
     _check_bit("p", p)
     _check_bit("q", q)
-    initial = tensor(
-        basis_state(("c",), (p,)),
-        basis_state(("d",), (q,)),
-        bell(0, 0, ("a", "b")),
-        basis_state(("E1",), (0,)),
-        basis_state(("E2",), (0,)),
-    )
-    placements = {
-        "c": Agent.ALICE,
-        "d": Agent.ALICE,
-        "a": Agent.ALICE,
-        "b": Agent.BOB,
-        "E1": Agent.BOB,
-        "E2": Agent.BOB,
-    }
-    world = init_wires(empty_world(), initial, placements, f"superdense(p={p},q={q})")
+    initial = _superdense_state(p, q, bell(0, 0, ("a", "b")))
+    world = init_wires(empty_world(), initial, SUPERDENSE_WIRES, f"superdense(p={p},q={q})")
 
     world = apply_local(world, cu_sigma(), ("c", "d", "a"), Agent.ALICE)
     if not equal_up_to_phase(world.state, superdense_encoded(p, q), tol):
@@ -331,14 +347,7 @@ def run_superdense(p: int, q: int, tol: float = DEFAULT_TOL) -> SuperdenseResult
         raise ProtocolError(
             f"expected one pointer branch, got {[b.label for b in decomp.branches]}"
         )
-    branch = decomp.branches[0]
-    return SuperdenseResult(
-        input=(p, q),
-        pointer=(branch.bits[0], branch.bits[1]),
-        final_state=world.state,
-        branch_count=len(decomp.branches),
-        world=world,
-    )
+    return SuperdenseResult(input=(p, q), decomposition=decomp, world=world)
 
 
 def derive_decode_table(tol: float = DEFAULT_TOL) -> DecodeTable:
@@ -379,12 +388,12 @@ def _measured_superposition(alpha: complex, beta: complex) -> PureState:
     """
     residuals = _TELEPORT_RESIDUALS @ np.array([alpha, beta], dtype=complex)
     amps = _BELL_ROWS[:, :, None] * residuals[:, None, :]
-    return PureState._adopt(("E1", "E2", "u", "a", "b"), amps.reshape(-1))
+    return PureState._adopt(tuple(TELEPORT_WIRES), amps.reshape(-1))
 
 
 def pointer_bell_sum() -> PureState:
     """Each pointer label on (E1, E2) with its Bell state on (u, a), summed over all four."""
-    return PureState(("E1", "E2", "u", "a"), _BELL_ROWS.reshape(-1))
+    return PureState(tuple(TELEPORT_WIRES)[:-1], _BELL_ROWS.reshape(-1))
 
 
 def _phase_canonical(state: PureState) -> tuple[PureState, complex]:
@@ -406,19 +415,11 @@ def run_teleport(alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> Tel
     if alpha == 0 and beta == 0:
         raise ValueError("input qubit must be nonzero")
     initial = tensor(
-        basis_state(("E1",), (0,)),
-        basis_state(("E2",), (0,)),
+        basis_state(("E1", "E2"), (0, 0)),
         qubit("u", alpha, beta),
         bell(0, 0, ("a", "b")),
     )
-    placements = {
-        "E1": Agent.ALICE,
-        "E2": Agent.ALICE,
-        "u": Agent.ALICE,
-        "a": Agent.ALICE,
-        "b": Agent.BOB,
-    }
-    world = init_wires(empty_world(), initial, placements, "teleport")
+    world = init_wires(empty_world(), initial, TELEPORT_WIRES, "teleport")
 
     world = apply_local(world, cu_meas(), ("E1", "E2", "u", "a"), Agent.ALICE)
     if not equal_up_to_phase(world.state, _measured_superposition(alpha, beta), tol):
@@ -428,7 +429,7 @@ def run_teleport(alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> Tel
     world = transfer(world, "E2", Agent.BOB)
     world = apply_local(world, u_b_decoder(), ("E1", "E2", "b"), Agent.BOB)
 
-    cut = Bipartition(frozenset({"E1", "E2", "u", "a"}), frozenset({"b"}))
+    cut = Bipartition(frozenset(TELEPORT_WIRES) - {"b"}, frozenset({"b"}))
     rank, factors = schmidt_factor(world.state, cut, tol)
     if rank != 1 or factors is None:
         raise ProtocolError(f"final state is not a product across the b cut (rank {rank})")

@@ -80,7 +80,7 @@ def _trace_lines(events: Iterable[Event], final_state: PureState) -> list[str]:
 def superdense_lines(
     result: SuperdenseResult, table: DecodeTable, json_mode: bool, trace: bool
 ) -> list[str]:
-    decompose = _decompose_events(result)[-1]
+    branches = result.decomposition.branches
     if json_mode:
         lines = [json_line(e.record()) for e in result.world.trace] if trace else []
         summary = {
@@ -91,8 +91,7 @@ def superdense_lines(
             "pointer": f"{result.pointer[0]}{result.pointer[1]}",
             "branch_count": result.branch_count,
             "branches": [
-                {"label": label, "raw": raw, "weight": weight}
-                for label, raw, weight in decompose.branches
+                {"label": b.label, "raw": b.raw_weight, "weight": b.weight} for b in branches
             ],
             "decode_table": {
                 f"{i[0]}{i[1]}": f"{o[0]}{o[1]}" for i, o in table.entries
@@ -106,8 +105,8 @@ def superdense_lines(
         f"pointer: {result.pointer[0]}{result.pointer[1]}",
         f"branches: {result.branch_count}",
     ]
-    for label, raw, weight in decompose.branches:
-        lines.append(f"branch {label}: raw={fmt12(raw)} weight={fmt12(weight)}")
+    for b in branches:
+        lines.append(f"branch {b.label}: raw={fmt12(b.raw_weight)} weight={fmt12(b.weight)}")
     lines.append(
         "decode table: "
         + " ".join(f"{i[0]}{i[1]}->{o[0]}{o[1]}" for i, o in table.entries)
@@ -119,10 +118,6 @@ def superdense_lines(
     if trace:
         lines += _trace_lines(result.world.trace, result.final_state)
     return lines
-
-
-def _decompose_events(result: SuperdenseResult) -> list[DecomposeEvent]:
-    return [e for e in result.world.trace if isinstance(e, DecomposeEvent)]
 
 
 def teleport_lines(result: TeleportResult, json_mode: bool, trace: bool) -> list[str]:

@@ -340,12 +340,12 @@ def schmidt_factor(
     positions = [state.wires.index(w) for w in left_wires]
     arr = np.moveaxis(scaled.reshape((2,) * state.n_wires), positions, range(len(positions)))
     mat = arr.reshape(1 << len(left_wires), 1 << len(right_wires))
-    # The SVD runs on the small triangular R of a Householder QR of the tall
-    # orientation, which has the same singular values and right singular
-    # vectors. QR is backward-stable, so the rank test keeps its meaning
-    # (a Gram matrix would square the tolerance).
+    # The SVD runs on the tall orientation cut to at most one block of rows,
+    # which keeps the singular values and right singular vectors. QR is
+    # backward-stable, so the rank test keeps its meaning (a Gram matrix
+    # would square the tolerance).
     tall = mat if mat.shape[0] >= mat.shape[1] else mat.T
-    _, sv, vh = np.linalg.svd(_r_factor(tall))
+    _, sv, vh = np.linalg.svd(_reduce_rows(tall), full_matrices=False)
     rank = int(np.sum(sv > tol * sv[0]))
     if rank != 1:
         return rank, None
@@ -361,14 +361,13 @@ def schmidt_factor(
     return 1, (PureState._adopt(left_wires, left), PureState._adopt(right_wires, right))
 
 
-def _r_factor(tall: np.ndarray) -> np.ndarray:
-    """R of a Householder QR of a tall matrix, reduced from row blocks (TSQR).
+def _reduce_rows(tall: np.ndarray) -> np.ndarray:
+    """A tall matrix cut to at most one row block by Householder QR (TSQR).
 
-    Stacking the R factors of the row blocks gives a matrix whose R is the
-    R of the whole, up to the phases of its rows, which change neither the
-    singular values nor the right singular vectors. Each block's QR stays
-    below _GEMV_BLOCK, in cache and on one thread; the reduction repeats
-    until one block is left. It is backward-stable like the plain QR.
+    Stacking the R factors of the row blocks gives a matrix with the same
+    singular values and right singular vectors as the whole. Each block's QR
+    stays below _GEMV_BLOCK, in cache and on one thread; the reduction
+    repeats until one block is left. It is backward-stable like a plain QR.
     """
     rows, cols = tall.shape
     block = max(2 * cols, _GEMV_BLOCK // cols)
@@ -376,7 +375,7 @@ def _r_factor(tall: np.ndarray) -> np.ndarray:
         stacked = np.linalg.qr(np.reshape(tall, (rows // block, block, cols)), mode="r")
         tall = stacked.reshape(-1, cols)
         rows = tall.shape[0]
-    return np.linalg.qr(tall, mode="r")
+    return tall
 
 
 @dataclass(frozen=True, eq=False)

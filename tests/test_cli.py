@@ -1,12 +1,16 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from everettsim import cli, fixtures
+from everettsim import cli, fixtures, protocols
 from everettsim.circuit import superdense_source
 from everettsim.cli import main
+from everettsim.gates import UnitaryGate, cu_meas
 from everettsim.state import MAX_WIRES, ZeroStateError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -220,7 +224,7 @@ def test_non_utf8_file_exits_two(capsys, tmp_path):
 def test_verify_output_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
-    assert out == (Path(__file__).parent / "golden" / "verify.txt").read_text(encoding="utf-8")
+    assert out == (GOLDEN / "verify.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("alpha,beta,bob", [
@@ -275,3 +279,100 @@ def test_run_past_the_wire_limit_fails_before_allocating(capsys, tmp_path, kron_
     assert_one_error_line(err)
     # the 25th init is on line 2n
     assert f"line {2 * n}: initializes wire {n}" in err
+
+
+@pytest.mark.parametrize("golden,argv", [
+    ("superdense_trace.txt", ("superdense", "--p", "0", "--q", "1", "--trace")),
+    ("superdense_trace_json.txt", ("superdense", "--p", "0", "--q", "1", "--trace", "--json")),
+    ("teleport_trace.txt", ("teleport", "--alpha", "0.6,0", "--beta", "0,0.8", "--trace")),
+    ("teleport_trace_json.txt",
+     ("teleport", "--alpha", "0.6,0", "--beta", "0,0.8", "--trace", "--json")),
+    ("superdense_run_json.txt", ("run", fixtures.SUPERDENSE, "--json")),
+    ("teleport_run_json.txt", ("run", fixtures.TELEPORT, "--json")),
+])
+def test_output_matches_golden(capsys, tmp_path, golden, argv):
+    if argv[0] == "run":
+        argv = ("run", fixture_file(tmp_path, argv[1]), *argv[2:])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("flag,value", [("--beta", "-1,0"), ("--alpha", "-.5,0.25")])
+def test_negative_amplitude_as_a_separate_argument(capsys, flag, value):
+    other = "--alpha" if flag == "--beta" else "--beta"
+    code, out, err = run_cli(capsys, "teleport", other, "1,0", flag, value, "--trace")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "teleport", other, "1,0", f"{flag}={value}", "--trace") == (0, out, "")
+
+
+def test_negative_nan_amplitude_as_a_separate_argument_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["teleport", "--alpha", "1,0", "--beta", "-nan,0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("argument --beta: non-finite amplitude '-nan,0'")
+
+
+def test_non_numeric_amplitude_flag_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["teleport", "--alpha", "x,0", "--beta", "1,0"])
+    assert exc.value.code == 2
+    # argparse prints its usage line first, as the README says
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: everettsim teleport")
+    assert error == "everettsim teleport: error: argument --alpha: non-numeric amplitude 'x,0'"
+
+
+@pytest.mark.parametrize("source,message", [
+    ("wire c @ Alice\nwire a @ Alice\ngate cu_sigma c c a @ Alice\n",
+     "line 3, column 17: repeated operand 'c' (expected distinct wires)"),
+    ("wire E1 @ Bob\nassert weight E1 = 0\n",
+     "line 2, column 8: unknown assertion 'weight' (expected 'pointer' or 'factor')"),
+    ("wire c @ Alice\ninit c = (1,0) |0> + x |1>\n",
+     "line 2, column 22: 'x' is not an amplitude (expected (re,im))"),
+    ("wire c @ Alice\ninit c = (1,zero) |0> + (0,0) |1>\n",
+     "line 2, column 10: non-numeric amplitude '(1,zero)' (expected (re,im) with decimal parts)"),
+])
+def test_parse_error_exits_two_with_its_message(capsys, tmp_path, source, message):
+    path = tmp_path / "bad.ecirc"
+    path.write_text(source, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err == f"everettsim: {path}: {message}\n"
+
+
+def test_init_pair_on_an_initialized_wire_exits_one(capsys, tmp_path):
+    path = tmp_path / "twice.ecirc"
+    path.write_text(
+        "wire a @ Alice\nwire b @ Bob\ninit a = |0>\ninit pair a b = bell 0 0\n", encoding="utf-8"
+    )
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"everettsim: {path}: line 4: wire 'a' initialized twice\n"
+
+
+HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("target,gate,argv,message", [
+    # a Hadamard on E1 after the measurement splits the pointer in two
+    ("cu_meas", UnitaryGate(4, np.kron(HADAMARD, np.eye(8)) @ cu_meas().matrix, "cu_meas"),
+     ("superdense", "--p", "0", "--q", "1"), "expected one pointer branch, got ['00', '10']"),
+    # a measurement that never moves the pointer reads 00 for every input
+    ("cu_meas", UnitaryGate(4, np.eye(16), "cu_meas"), ("superdense", "--p", "0", "--q", "0"),
+     "decode table is not a bijection: "
+     "[((0, 0), (0, 0)), ((0, 1), (0, 0)), ((1, 0), (0, 0)), ((1, 1), (0, 0))]"),
+    # without Bob's correction his wire stays entangled with the pointer
+    ("u_b_decoder", UnitaryGate(3, np.eye(8), "u_b"),
+     ("teleport", "--alpha", "0.6,0", "--beta", "0,0.8"),
+     "final state is not a product across the b cut (rank 2)"),
+])
+def test_runner_self_check_exits_one(capsys, monkeypatch, target, gate, argv, message):
+    monkeypatch.setattr(protocols, target, lambda: gate)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"everettsim: {message}\n"

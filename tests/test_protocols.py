@@ -183,6 +183,12 @@ def test_superdense_records_the_decomposition():
     decompose = [e for e in result.world.trace if isinstance(e, DecomposeEvent)]
     assert len(decompose) == 1
     assert decompose[0].branches == (("10", 2.0, 1.0),)
+    # the result keeps the decomposition that event records
+    kept = result.decomposition
+    assert kept.pointer == decompose[0].pointer
+    assert tuple((b.label, b.raw_weight, b.weight) for b in kept.branches) == decompose[0].branches
+    assert result.pointer == (1, 0) and result.branch_count == 1
+    assert result.final_state is result.world.state
 
 
 def test_superdense_rejects_non_bits():
