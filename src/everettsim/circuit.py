@@ -22,6 +22,9 @@ Execution interprets statements in order against a ProtocolWorld: inits
 tensor wires into the state in statement order, gates are applied as the
 named agent (halting with LocalityError if the agent does not hold every
 operand), and assertions are evaluated and recorded without halting.
+Every statement but an init runs through the step executor `run_step`,
+which the protocol runners also use on the gate and transfer statements of
+`superdense_source` and `teleport_source`, the protocol templates.
 Files use extension `.ecirc`, UTF-8, LF line endings.
 """
 
@@ -360,6 +363,12 @@ class AssertionOutcome:
     detail: str
 
 
+def _operands(stmt: Statement) -> tuple[str, ...]:
+    if isinstance(stmt, (InitKet, TransferStatement, AssertFactor)):
+        return (stmt.wire,)
+    return stmt.wires
+
+
 def exec_circuit(
     prog: CircuitProgram, tol: float = ASSERT_TOL
 ) -> tuple[protocols.ProtocolWorld, list[AssertionOutcome]]:
@@ -373,7 +382,7 @@ def exec_circuit(
     planned: set[str] = set()
     for stmt in prog.statements:
         if isinstance(stmt, (InitKet, InitPair)):
-            planned.update(stmt.wires if isinstance(stmt, InitPair) else (stmt.wire,))
+            planned.update(_operands(stmt))
             if len(planned) > MAX_WIRES:
                 raise CircuitError(
                     f"line {stmt.line}: initializes wire {len(planned)}, "
@@ -382,76 +391,71 @@ def exec_circuit(
 
     world = protocols.empty_world()
     agents = {decl.label: protocols.Agent(decl.agent) for decl in prog.registers}
-    initialized: set[str] = set()
     outcomes: list[AssertionOutcome] = []
-
-    def need_initialized(line: int, wires: tuple[str, ...]) -> None:
-        for w in wires:
-            if w not in initialized:
-                raise CircuitError(f"line {line}: wire {w!r} used before init")
-
     for stmt in prog.statements:
-        if isinstance(stmt, InitKet):
-            if stmt.wire in initialized:
-                raise CircuitError(f"line {stmt.line}: wire {stmt.wire!r} initialized twice")
-            if stmt.expr.amp0 == 0 and stmt.expr.amp1 == 0:
-                raise CircuitError(f"line {stmt.line}: zero initializer for {stmt.wire!r}")
-            piece = qubit(stmt.wire, stmt.expr.amp0, stmt.expr.amp1)
-            world = protocols.init_wires(
-                world, piece, {stmt.wire: agents[stmt.wire]}, stmt.expr.text
-            )
-            initialized.add(stmt.wire)
-        elif isinstance(stmt, InitPair):
-            for w in stmt.wires:
-                if w in initialized:
-                    raise CircuitError(f"line {stmt.line}: wire {w!r} initialized twice")
-            piece = bell(stmt.x, stmt.y, stmt.wires)
-            world = protocols.init_wires(
-                world, piece, {w: agents[w] for w in stmt.wires}, f"bell({stmt.x},{stmt.y})"
-            )
-            initialized.update(stmt.wires)
-        elif isinstance(stmt, GateStatement):
-            need_initialized(stmt.line, stmt.wires)
-            gate = GATES[stmt.name].build()
-            world = protocols.apply_local(
-                world, gate, stmt.wires, protocols.Agent(stmt.actor)
-            )
-        elif isinstance(stmt, TransferStatement):
-            need_initialized(stmt.line, (stmt.wire,))
-            world = protocols.transfer(world, stmt.wire, protocols.Agent(stmt.dest))
-        elif isinstance(stmt, AssertPointer):
-            need_initialized(stmt.line, stmt.wires)
-            world, decomp = protocols.decompose_pointer(world, stmt.wires, tol=tol)
-            observed = {b.label: b.weight for b in decomp.branches}
-            want = f"{stmt.bits[0]}{stmt.bits[1]}"
-            passed = len(decomp.branches) == 1 and decomp.branches[0].label == want
-            detail = (
-                f"pointer={want}"
-                if passed
-                else "expected " + want + ", observed " + (
-                    ",".join(f"{k}:{v:.6f}" for k, v in sorted(observed.items())) or "nothing"
-                )
-            )
-            outcomes.append(AssertionOutcome(stmt.line, "pointer", passed, detail))
-        elif isinstance(stmt, AssertFactor):
-            need_initialized(stmt.line, (stmt.wire,))
-            rest = frozenset(w for w in world.state.wires if w != stmt.wire)
-            cut = Bipartition(rest, frozenset({stmt.wire}))
-            rank, factors = schmidt_factor(world.state, cut, tol)
-            if rank != 1 or factors is None:
-                passed = False
-                detail = f"not a product across {stmt.wire!r} (rank {rank})"
-            else:
-                target = qubit(stmt.wire, stmt.expr.amp0, stmt.expr.amp1)
-                passed = equal_up_to_phase(factors[1], target, tol)
-                detail = f"factor on {stmt.wire!r} ~ {stmt.expr.text}" if passed else (
-                    f"factor on {stmt.wire!r} differs from {stmt.expr.text}"
-                )
-            outcomes.append(AssertionOutcome(stmt.line, "factor", passed, detail))
-        else:  # pragma: no cover - parser only emits the kinds above
-            raise CircuitError(f"line {stmt.line}: unhandled statement {stmt!r}")
-
+        if not isinstance(stmt, (InitKet, InitPair)):
+            world = run_step(world, stmt, tol, outcomes)
+            continue
+        for w in _operands(stmt):
+            if w in world.location:
+                raise CircuitError(f"line {stmt.line}: wire {w!r} initialized twice")
+        if isinstance(stmt, InitPair):
+            piece, label = bell(stmt.x, stmt.y, stmt.wires), f"bell({stmt.x},{stmt.y})"
+        elif stmt.expr.amp0 == 0 and stmt.expr.amp1 == 0:
+            raise CircuitError(f"line {stmt.line}: zero initializer for {stmt.wire!r}")
+        else:
+            piece, label = qubit(stmt.wire, stmt.expr.amp0, stmt.expr.amp1), stmt.expr.text
+        world = protocols.init_wires(world, piece, {w: agents[w] for w in piece.wires}, label)
     return world, outcomes
+
+
+def run_step(
+    world: protocols.ProtocolWorld, stmt: Statement, tol: float, outcomes: list[AssertionOutcome]
+) -> protocols.ProtocolWorld:
+    """Run one gate, transfer or assert statement; returns the new world.
+
+    The gate is built from GATES when its step runs. An assertion appends
+    its outcome to `outcomes` and never halts; a wire that no init has put
+    into the world raises CircuitError.
+    """
+    for w in _operands(stmt):
+        if w not in world.location:
+            raise CircuitError(f"line {stmt.line}: wire {w!r} used before init")
+    if isinstance(stmt, GateStatement):
+        gate = GATES[stmt.name].build()
+        return protocols.apply_local(world, gate, stmt.wires, protocols.Agent(stmt.actor))
+    if isinstance(stmt, TransferStatement):
+        return protocols.transfer(world, stmt.wire, protocols.Agent(stmt.dest))
+    if isinstance(stmt, AssertPointer):
+        world, decomp = protocols.decompose_pointer(world, stmt.wires, tol=tol)
+        observed = {b.label: b.weight for b in decomp.branches}
+        want = f"{stmt.bits[0]}{stmt.bits[1]}"
+        passed = len(decomp.branches) == 1 and decomp.branches[0].label == want
+        detail = (
+            f"pointer={want}"
+            if passed
+            else "expected " + want + ", observed " + (
+                ",".join(f"{k}:{v:.6f}" for k, v in sorted(observed.items())) or "nothing"
+            )
+        )
+        outcomes.append(AssertionOutcome(stmt.line, "pointer", passed, detail))
+    elif isinstance(stmt, AssertFactor):
+        rest = frozenset(w for w in world.state.wires if w != stmt.wire)
+        cut = Bipartition(rest, frozenset({stmt.wire}))
+        rank, factors = schmidt_factor(world.state, cut, tol)
+        if rank != 1 or factors is None:
+            passed = False
+            detail = f"not a product across {stmt.wire!r} (rank {rank})"
+        else:
+            target = qubit(stmt.wire, stmt.expr.amp0, stmt.expr.amp1)
+            passed = equal_up_to_phase(factors[1], target, tol)
+            detail = f"factor on {stmt.wire!r} ~ {stmt.expr.text}" if passed else (
+                f"factor on {stmt.wire!r} differs from {stmt.expr.text}"
+            )
+        outcomes.append(AssertionOutcome(stmt.line, "factor", passed, detail))
+    else:  # pragma: no cover - inits never reach the step executor
+        raise CircuitError(f"line {stmt.line}: unhandled statement {stmt!r}")
+    return world
 
 
 def _wire_lines(layout: dict[str, protocols.Agent]) -> str:

@@ -8,17 +8,19 @@
 
 Exit codes: 0 success, 1 failed assertions or a protocol, locality or state
 error while running, 2 usage errors, non-finite amplitudes, unreadable,
-non-UTF-8 or unparseable files. Every error is one line on stderr. The
-environment variable EVERETT_TOL (a decimal literal in (0, 1), default 1e-12
-for protocol state checks and 1e-10 for circuit assertions) overrides the
-comparison tolerance; `verify` always runs at its pinned tolerances. Trace line and JSON record
-layouts are documented in `everettsim.reports`.
+non-UTF-8 or unparseable files. Every error is one line on stderr. Flags
+must be spelled in full: `--al` is not `--alpha`. The environment variable
+EVERETT_TOL (a decimal literal in (0, 1e-6], default 1e-12 for protocol
+state checks and 1e-10 for circuit assertions) overrides the comparison
+tolerance; `verify` always runs at its pinned tolerances. Trace line and
+JSON record layouts are documented in `everettsim.reports`.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import os
 import re
 import sys
@@ -68,29 +70,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="everettsim",
         description="Unitary-only superdense coding and teleportation simulator.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    # subparsers do not inherit allow_abbrev
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_sd = sub.add_parser("superdense", help="encode two bits, move one qubit, read the pointer")
+    p_sd = add_parser("superdense", help="encode two bits, move one qubit, read the pointer")
     p_sd.add_argument("--p", type=_bit, required=True, help="first bit")
     p_sd.add_argument("--q", type=_bit, required=True, help="second bit")
     p_sd.add_argument("--trace", action="store_true", help="include the event trace")
     p_sd.add_argument("--json", action="store_true", help="line-delimited JSON records")
 
-    p_tp = sub.add_parser("teleport", help="teleport alpha|0> + beta|1> from Alice to Bob")
+    p_tp = add_parser("teleport", help="teleport alpha|0> + beta|1> from Alice to Bob")
     p_tp.add_argument("--alpha", type=_amplitude, required=True, metavar="RE,IM")
     p_tp.add_argument("--beta", type=_amplitude, required=True, metavar="RE,IM")
     p_tp.add_argument("--trace", action="store_true", help="include the event trace")
     p_tp.add_argument("--json", action="store_true", help="line-delimited JSON records")
 
-    p_run = sub.add_parser("run", help="execute a .ecirc circuit file")
+    p_run = add_parser("run", help="execute a .ecirc circuit file")
     p_run.add_argument("file", help="circuit file path")
     p_run.add_argument("--json", action="store_true", help="line-delimited JSON records")
 
-    p_render = sub.add_parser("render", help="draw a .ecirc circuit file as ASCII")
+    p_render = add_parser("render", help="draw a .ecirc circuit file as ASCII")
     p_render.add_argument("file", help="circuit file path")
 
-    sub.add_parser("verify", help="run the full verification suite")
+    add_parser("verify", help="run the full verification suite")
     return parser
 
 
@@ -103,10 +108,11 @@ def _tolerance(default: float) -> float:
     except ValueError:
         print(f"everettsim: bad EVERETT_TOL {raw!r}", file=sys.stderr)
         raise SystemExit(2) from None
-    # at 1 or above, equal_up_to_phase accepts any two nonzero states and
-    # schmidt_factor reports rank 0, so every check would be switched off
-    if not 0 < value < 1:
-        print(f"everettsim: EVERETT_TOL must lie in (0, 1), got {raw!r}", file=sys.stderr)
+    # equal_up_to_phase accepts any pair with fidelity >= 1 - tol, so a large
+    # tolerance passes states that differ (at 0.9, a pair with fidelity 0.1);
+    # the defaults are 1e-12 and 1e-10
+    if not 0 < value <= 1e-6:
+        print(f"everettsim: EVERETT_TOL must lie in (0, 1e-6], got {raw!r}", file=sys.stderr)
         raise SystemExit(2)
     return value
 

@@ -16,17 +16,28 @@ Teleportation: Alice measures her unknown qubit (u) against her half (a) of
 the shared pair via ``cu_meas``; the pointer pair crosses to Bob, who applies
 ``u_b_decoder`` to his half (b); the final state factorizes with an exact
 copy of the unknown qubit on b.
+
+A runner's steps are the gate and transfer statements of its circuit
+template (``circuit.superdense_source``, ``circuit.teleport_source``),
+parsed once per process and run by the interpreter's step executor
+``circuit.run_step``. Around them the runner adds one labelled Init built
+from its register layout, a closed-form check after the template's first
+gate, and its own readout of the final state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .gates import UnitaryGate, bell, cu_meas, cu_sigma, u_b_decoder
+# circuit imports this module too; each only reads the other's attributes
+# inside functions, so either may be imported first
+from . import circuit
+from .gates import UnitaryGate, bell
 from .state import (
     BRANCH_TOL,
     DEFAULT_TOL,
@@ -163,7 +174,8 @@ def init_wires(
     """Tensor new wires into the world and record where each one sits."""
     if set(placements) != set(piece.wires):
         raise ProtocolError("placements must cover exactly the new wires")
-    state = tensor(world.state, piece)
+    # the empty world's state is the scalar 1, so a first piece is the product
+    state = tensor(world.state, piece) if world.state.wires else piece
     location = dict(world.location)
     for w, agent in placements.items():
         location[w] = agent
@@ -323,6 +335,22 @@ def superdense_encoded(p: int, q: int) -> PureState:
     return _superdense_state(p, q, PureState(("a", "b"), pair))
 
 
+@cache
+def _template_steps(template, *inputs) -> tuple[tuple[circuit.Statement, ...], ...]:
+    """A template's gate and transfer statements, split after its first gate.
+
+    Parsed once per process: a template's inputs change only its init and
+    assert lines, never these.
+    """
+    steps = tuple(
+        stmt
+        for stmt in circuit.parse_circuit(template(*inputs)).statements
+        if isinstance(stmt, (circuit.GateStatement, circuit.TransferStatement))
+    )
+    first = next(i for i, stmt in enumerate(steps) if isinstance(stmt, circuit.GateStatement))
+    return steps[: first + 1], steps[first + 1 :]
+
+
 def run_superdense(p: int, q: int, tol: float = DEFAULT_TOL) -> SuperdenseResult:
     """Send two bits by moving one qubit of a shared pair.
 
@@ -335,13 +363,15 @@ def run_superdense(p: int, q: int, tol: float = DEFAULT_TOL) -> SuperdenseResult
     _check_bit("q", q)
     initial = _superdense_state(p, q, bell(0, 0, ("a", "b")))
     world = init_wires(empty_world(), initial, SUPERDENSE_WIRES, f"superdense(p={p},q={q})")
+    encode, send_and_measure = _template_steps(circuit.superdense_source, 0, 0, (0, 0))
 
-    world = apply_local(world, cu_sigma(), ("c", "d", "a"), Agent.ALICE)
+    for stmt in encode:
+        world = circuit.run_step(world, stmt, tol, [])
     if not equal_up_to_phase(world.state, superdense_encoded(p, q), tol):
         raise ProtocolError(f"post-encoding state diverged for (p,q)=({p},{q})")
 
-    world = transfer(world, "a", Agent.BOB)
-    world = apply_local(world, cu_meas(), ("E1", "E2", "a", "b"), Agent.BOB)
+    for stmt in send_and_measure:
+        world = circuit.run_step(world, stmt, tol, [])
     world, decomp = decompose_pointer(world, ("E1", "E2"))
     if len(decomp.branches) != 1:
         raise ProtocolError(
@@ -420,14 +450,15 @@ def run_teleport(alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> Tel
         bell(0, 0, ("a", "b")),
     )
     world = init_wires(empty_world(), initial, TELEPORT_WIRES, "teleport")
+    measure, send_and_correct = _template_steps(circuit.teleport_source, 1, 0)
 
-    world = apply_local(world, cu_meas(), ("E1", "E2", "u", "a"), Agent.ALICE)
+    for stmt in measure:
+        world = circuit.run_step(world, stmt, tol, [])
     if not equal_up_to_phase(world.state, _measured_superposition(alpha, beta), tol):
         raise ProtocolError("post-measurement state diverged from the four-branch form")
 
-    world = transfer(world, "E1", Agent.BOB)
-    world = transfer(world, "E2", Agent.BOB)
-    world = apply_local(world, u_b_decoder(), ("E1", "E2", "b"), Agent.BOB)
+    for stmt in send_and_correct:
+        world = circuit.run_step(world, stmt, tol, [])
 
     cut = Bipartition(frozenset(TELEPORT_WIRES) - {"b"}, frozenset({"b"}))
     rank, factors = schmidt_factor(world.state, cut, tol)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import everettsim
 from everettsim import fixtures
 from everettsim.circuit import (
     AssertFactor,
@@ -205,6 +211,26 @@ def test_gate_before_init_is_an_execution_error():
     source = "wire c @ Alice\ngate sigma01 c @ Alice"
     with pytest.raises(CircuitError):
         exec_circuit(parse_circuit(source))
+
+
+@pytest.mark.parametrize("statement", [
+    "transfer E1 -> Alice",
+    "assert pointer E2 E1 = 00",
+    "assert factor E1 ~ |0>",
+])
+def test_step_before_init_names_the_line_and_wire(statement):
+    source = f"wire E1 @ Bob\nwire E2 @ Bob\ninit E2 = |0>\n{statement}\n"
+    with pytest.raises(CircuitError, match="line 4: wire 'E1' used before init"):
+        exec_circuit(parse_circuit(source))
+
+
+@pytest.mark.parametrize("module", ["everettsim.circuit", "everettsim.protocols"])
+def test_each_side_of_the_import_cycle_imports_first(module):
+    src = str(Path(everettsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_double_init_is_an_execution_error():

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from everettsim import cli, fixtures, protocols
-from everettsim.circuit import superdense_source
+from everettsim import cli, fixtures, gates
+from everettsim.circuit import GATES, superdense_source
 from everettsim.cli import main
 from everettsim.gates import UnitaryGate, cu_meas
 from everettsim.state import MAX_WIRES, ZeroStateError
@@ -201,13 +201,29 @@ def test_state_error_exits_one_with_one_line(capsys, tmp_path, monkeypatch, targ
     assert "zero state" in err
 
 
-@pytest.mark.parametrize("tol", ["inf", "1", "2.5"])
-def test_everett_tol_at_or_above_one_exits_two(capsys, monkeypatch, tol):
+@pytest.mark.parametrize("tol", ["inf", "1", "2.5", "0.9", "1e-5"])
+def test_everett_tol_above_the_bound_exits_two(capsys, monkeypatch, tol):
     monkeypatch.setenv("EVERETT_TOL", tol)
     with pytest.raises(SystemExit) as exc:
         main(["teleport", "--alpha", "1,0", "--beta", "0,0"])
     assert exc.value.code == 2
     assert_one_error_line(capsys.readouterr().err)
+
+
+def test_everett_tol_cannot_pass_a_wrong_factor(capsys, monkeypatch, tmp_path):
+    # fidelity 0.1, so only a tolerance of 0.9 or more would pass it
+    path = tmp_path / "wrong.ecirc"
+    path.write_text(
+        "wire b @ Bob\ninit b = |0>\nassert factor b ~ (1,0) |0> + (3,0) |1>\n", encoding="utf-8"
+    )
+    monkeypatch.setenv("EVERETT_TOL", "0.9")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "everettsim: EVERETT_TOL must lie in (0, 1e-6], got '0.9'\n"
+    monkeypatch.setenv("EVERETT_TOL", "1e-6")
+    code, out, _ = run_cli(capsys, "run", str(path))
+    assert code == 1 and "FAIL" in out
 
 
 def test_non_utf8_file_exits_two(capsys, tmp_path):
@@ -306,6 +322,28 @@ def test_negative_amplitude_as_a_separate_argument(capsys, flag, value):
     assert run_cli(capsys, "teleport", other, "1,0", f"{flag}={value}", "--trace") == (0, out, "")
 
 
+@pytest.mark.parametrize("beta", ["-1,0", "0,1"])
+def test_abbreviated_flags_exit_two(capsys, beta):
+    with pytest.raises(SystemExit) as exc:
+        main(["teleport", "--al", "1,0", "--be", beta])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("the following arguments are required: --alpha, --beta")
+
+
+def test_teleport_matches_golden_over_many_inputs(capsys):
+    # each case is a `$ everettsim <argv>` line followed by its stdout
+    golden = (GOLDEN / "teleport_cases.txt").read_text(encoding="utf-8")
+    commands = [line.split()[2:] for line in golden.splitlines() if line.startswith("$ ")]
+    assert len(commands) == 96
+    got = []
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        got.append(f"$ everettsim {' '.join(argv)}\n{out}")
+    assert "".join(got) == golden
+
+
 def test_negative_nan_amplitude_as_a_separate_argument_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["teleport", "--alpha", "1,0", "--beta", "-nan,0"])
@@ -372,7 +410,10 @@ HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
      "final state is not a product across the b cut (rank 2)"),
 ])
 def test_runner_self_check_exits_one(capsys, monkeypatch, target, gate, argv, message):
-    monkeypatch.setattr(protocols, target, lambda: gate)
+    assert run_cli(capsys, *argv)[0] == 0  # the real gate passes the check
+    # the DSL gate that `target` builds now builds the tampered one
+    name = next(key for key, spec in GATES.items() if spec.build is getattr(gates, target))
+    monkeypatch.setitem(GATES, name, GATES[name]._replace(build=lambda: gate))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"everettsim: {message}\n"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from conftest import embed
 
-from everettsim import protocols
+from everettsim import circuit, protocols
+from everettsim.circuit import GATES
 from everettsim.gates import (
     ControlSpec,
     UnitaryGate,
@@ -200,9 +201,21 @@ def test_superdense_self_check_fires_on_a_tampered_encoder(monkeypatch):
     run_superdense(0, 1)  # the real encoder passes the check
     transposed = {(p, q): sigma(q, p) for p in (0, 1) for q in (0, 1)}
     tampered = control_unitary(ControlSpec(2, transposed), name="cu_sigma")
-    monkeypatch.setattr(protocols, "cu_sigma", lambda: tampered)
+    monkeypatch.setitem(GATES, "cu_sigma", GATES["cu_sigma"]._replace(build=lambda: tampered))
     with pytest.raises(ProtocolError, match=r"post-encoding state diverged for \(p,q\)=\(0,1\)"):
         run_superdense(0, 1)
+
+
+def test_runners_parse_no_template_per_run(monkeypatch):
+    run_superdense(0, 1)
+    run_teleport(0.6, 0.8j)
+
+    def no_parse(source):
+        raise AssertionError("a runner parsed its template again")
+
+    monkeypatch.setattr(circuit, "parse_circuit", no_parse)
+    assert run_superdense(1, 0).pointer == (0, 1)
+    assert run_teleport(0.6, 0.8j).fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_decode_table_is_the_expected_bijection():
@@ -283,7 +296,7 @@ def test_teleport_self_check_fires_on_a_tampered_measurement(monkeypatch):
     run_teleport(alpha, beta)  # the real measurement passes the check
     swap = np.eye(4)[[0, 2, 1, 3]]  # exchanges the pointer labels 01 and 10
     tampered = UnitaryGate(4, np.kron(swap, np.eye(4)) @ cu_meas().matrix, name="cu_meas")
-    monkeypatch.setattr(protocols, "cu_meas", lambda: tampered)
+    monkeypatch.setitem(GATES, "cu_meas", GATES["cu_meas"]._replace(build=lambda: tampered))
     with pytest.raises(ProtocolError, match="post-measurement state diverged"):
         run_teleport(alpha, beta)
 
