@@ -69,6 +69,24 @@ def _amp_pair(a: complex) -> str:
     return f"({fmt12(a.real)},{fmt12(a.imag)})"
 
 
+def _input_pair(a: complex) -> str:
+    """An input amplitude as _amp_pair prints it, unless that hides or bloats a part.
+
+    A nonzero part that would print as all zeros, and a part of 1e12 or more,
+    print in exponent form with 12 digits after the point.
+    """
+    parts = []
+    for x in (a.real, a.imag):
+        text = fmt12(x)
+        parts.append(f"{x:.12e}" if (x and text == "0.000000000000") or abs(x) >= 1e12 else text)
+    return f"({parts[0]},{parts[1]})"
+
+
+def _input_json(a: complex) -> list[float]:
+    # a nonzero part that rounding at 12 places would zero is echoed as given
+    return [x if x and not round(x, 12) else _jnum(x) for x in (a.real, a.imag)]
+
+
 def _trace_lines(events: Iterable[Event], final_state: PureState) -> list[str]:
     lines = ["trace:"]
     lines += [event_line(e) for e in events]
@@ -128,16 +146,16 @@ def teleport_lines(result: TeleportResult, json_mode: bool, trace: bool) -> list
         summary = {
             "event": "Summary",
             "verb": "teleport",
-            "alpha": [alpha.real, alpha.imag],
-            "beta": [beta.real, beta.imag],
-            "fidelity": result.fidelity,
-            "bob_qubit": [[b0.real, b0.imag], [b1.real, b1.imag]],
+            "alpha": _input_json(alpha),
+            "beta": _input_json(beta),
+            "fidelity": _jnum(result.fidelity),
+            "bob_qubit": _jnum([[b0.real, b0.imag], [b1.real, b1.imag]]),
             "schmidt_rank_b_cut": result.schmidt_rank_b_cut,
         }
-        lines.append(json_line(summary))
+        lines.append(json.dumps(summary))
         return lines
     lines = [
-        f"input: alpha={_amp_pair(alpha)} beta={_amp_pair(beta)}",
+        f"input: alpha={_input_pair(alpha)} beta={_input_pair(beta)}",
         f"fidelity: {fmt12(result.fidelity)}",
         f"bob qubit: {_amp_pair(b0)} |0> + {_amp_pair(b1)} |1>",
         f"schmidt rank (b cut): {result.schmidt_rank_b_cut}",

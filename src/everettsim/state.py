@@ -6,6 +6,12 @@ first wire most significant. Vectors are deliberately not normalized; all
 equality checks are up to a complex scale, and probabilities are computed on
 normalized copies.
 
+A state may also be a batch: amplitudes of shape (B, 2^n), one state per
+row, all over the same wires. The kernels (``apply``, the squared norms,
+``norm_drift``, ``equal_up_to_phase``, ``fidelity``, ``schmidt_factor``)
+work along the last axis, so one code path serves a single state and a
+batch, and return one value per element for a batch.
+
 Everything here is an immutable value and every operation is a pure function,
 so states can be shared freely between threads.
 """
@@ -13,8 +19,8 @@ so states can be shared freely between threads.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -71,7 +77,8 @@ class PureState:
     ``amps[i]`` is the amplitude of the basis state whose bit string is the
     binary expansion of ``i`` over the wires (first wire = most significant
     bit). Amplitudes must be finite; the all-zero vector is representable but
-    rejected by every analytical operation.
+    rejected by every analytical operation. A 2-D ``amps`` is a batch, one
+    state per row; any other shape is flattened into one state.
 
     The constructor copies and validates its input. The kernels in this
     package hand their results over through ``_adopt`` instead, which takes
@@ -89,11 +96,15 @@ class PureState:
                 raise WireError(f"bad wire label {w!r}")
         if len(set(wires)) != len(wires):
             raise WireError(f"duplicate wire labels in {wires}")
-        amps = np.array(self.amps, dtype=complex).reshape(-1)
-        if amps.shape[0] != 1 << len(wires):
+        amps = np.array(self.amps, dtype=complex)
+        if amps.ndim != 2:
+            amps = amps.reshape(-1)
+        if amps.shape[-1] != 1 << len(wires):
             raise StateError(
-                f"{len(wires)} wires need {1 << len(wires)} amplitudes, got {amps.shape[0]}"
+                f"{len(wires)} wires need {1 << len(wires)} amplitudes, got {amps.shape[-1]}"
             )
+        if amps.size == 0:
+            raise StateError("a batch needs at least one state")
         object.__setattr__(self, "wires", wires)
         self._seal(amps)
 
@@ -102,7 +113,8 @@ class PureState:
         """A state over ``amps`` as it is, without a copy.
 
         The caller vouches that ``wires`` are valid and distinct, that ``amps``
-        is a flat complex array of the matching length, and that nothing
+        is a complex vector of the matching length, or a non-empty batch of
+        them, and that nothing
         writes to it afterwards: an array the caller has just allocated, or a
         view of another state's read-only amplitudes. Only the finiteness
         check runs.
@@ -116,7 +128,7 @@ class PureState:
         norm_sq = _sum_sq(amps)
         # a finite sum of squares proves every amplitude finite; only an
         # overflowed (or nan) one needs the element-wise scan
-        if not math.isfinite(norm_sq) and not np.isfinite(amps).all():
+        if not _all(np.isfinite(norm_sq)) and not np.isfinite(amps).all():
             raise StateError("non-finite amplitude")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -127,9 +139,18 @@ class PureState:
         return len(self.wires)
 
     @property
-    def norm_sq(self) -> float:
-        """The plain sum of squares, which rounds to 0 or inf far from unit scale."""
-        return self._norm_sq
+    def norm_sq(self) -> float | np.ndarray:
+        """The plain sum of squares, which rounds to 0, inf or nan far from unit scale.
+
+        One value per element for a batch.
+        """
+        return _per_state(self._norm_sq)
+
+    def element(self, i: int) -> PureState:
+        """State i of a batch, sharing its read-only amplitudes."""
+        if self.amps.ndim != 2:
+            raise StateError("only a batch has elements")
+        return PureState._adopt(self.wires, self.amps[i])
 
     def index_of(self, bits: Sequence[int]) -> int:
         """Basis index of a full wire assignment."""
@@ -141,7 +162,8 @@ class PureState:
         return idx
 
     def __repr__(self) -> str:
-        return f"PureState(wires={self.wires}, dim={self.amps.shape[0]})"
+        batch = f", batch={self.amps.shape[0]}" if self.amps.ndim == 2 else ""
+        return f"PureState(wires={self.wires}, dim={self.amps.shape[-1]}{batch})"
 
 
 def basis_state(wires: Sequence[str], bits: Sequence[int]) -> PureState:
@@ -159,14 +181,20 @@ def basis_state(wires: Sequence[str], bits: Sequence[int]) -> PureState:
 
 
 def qubit(wire: str, amp0: complex, amp1: complex) -> PureState:
-    """Single-wire state amp0|0> + amp1|1>."""
-    return PureState((wire,), np.array([amp0, amp1], dtype=complex))
+    """Single-wire state amp0|0> + amp1|1>; a batch when amp0 and amp1 are sequences."""
+    return PureState((wire,), np.array([amp0, amp1], dtype=complex).T)
 
 
 def tensor(*states: PureState) -> PureState:
-    """Tensor product; wire lists concatenate, amplitudes take the outer product."""
+    """Tensor product; wire lists concatenate, amplitudes take the outer product.
+
+    At most one factor may be a batch; the product is then a batch too, each
+    of its rows tensored with the single states.
+    """
     if not states:
         raise StateError("tensor needs at least one state")
+    if sum(s.amps.ndim == 2 for s in states) > 1:
+        raise StateError("tensor takes at most one batch among its factors")
     wires: tuple[str, ...] = ()
     for s in states:
         overlap = set(wires) & set(s.wires)
@@ -179,6 +207,7 @@ def tensor(*states: PureState) -> PureState:
         )
     amps = states[0].amps
     for s in states[1:]:
+        # a 1-D factor counts as one row, so a batch's rows pair with it
         amps = np.kron(amps, s.amps)
     return PureState._adopt(wires, amps)
 
@@ -197,27 +226,49 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
         missing = [t for t in targets if t not in state.wires]
         raise WireError(f"unknown wire(s) {missing}") from None
     n = state.n_wires
-    # the target axes moved to the front, in the input and in the result
-    src = np.moveaxis(state.amps.reshape((2,) * n), positions, range(k))
-    out = np.empty(1 << n, dtype=complex)
-    dst = np.moveaxis(out.reshape((2,) * n), positions, range(k))
-    # One block for each value of the other wires but the last `inner`: the
-    # gate times the block's 2**k x 2**inner amplitudes, one BLAS call below
+    batch = state.amps.shape[:-1]
+    # the batch axis, then the target axes, then the other wires, in the input
+    # and in the result
+    plan = _axis_plan(n, tuple(positions), len(batch))
+    src = state.amps.reshape(batch + (2,) * n).transpose(plan)
+    out = np.empty(state.amps.shape, dtype=complex)
+    dst = out.reshape(batch + (2,) * n).transpose(plan)
+    # One block for each value of the other wires but the last `inner`, and
+    # for a batch, for each run of elements that fills a block: the gate times
+    # each element's 2**k x 2**inner amplitudes, one BLAS call below
     # _GEMM_BLOCK, written straight into the result. No vector-sized
     # temporary is made.
-    inner = min(n - k, max(0, (_GEMM_BLOCK // gate.matrix.size).bit_length() - 1))
-    shape = (1 << k, 1 << inner)
+    columns = _GEMM_BLOCK // gate.matrix.size
+    inner = min(n - k, max(0, columns.bit_length() - 1))
+    run = max(1, columns >> (n - k))
+    runs = [(slice(i, i + run),) for i in range(0, batch[0], run)] if batch else [()]
     every_target = (slice(None),) * k
-    for idx in itertools.product((0, 1), repeat=n - k - inner):
-        block = dst[every_target + idx]
-        block[...] = (gate.matrix @ src[every_target + idx].reshape(shape)).reshape(block.shape)
+    for elements in runs:
+        for idx in itertools.product((0, 1), repeat=n - k - inner):
+            key = elements + every_target + idx
+            block = dst[key]
+            shape = block.shape[: len(batch)] + (1 << k, -1)
+            block[...] = (gate.matrix @ src[key].reshape(shape)).reshape(block.shape)
     return PureState._adopt(state.wires, out)
+
+
+# bounded: a long program's random target choices would otherwise grow it for
+# the life of the process
+@lru_cache(maxsize=4096)
+def _axis_plan(n: int, front: tuple[int, ...], batch_rank: int) -> tuple[int, ...]:
+    """A transpose of a (batch..., 2, ..., 2) amplitude array: batch axes first.
+
+    The wires at positions `front` follow the batch axes, then the other wires
+    in order.
+    """
+    rest = tuple(i for i in range(n) if i not in front)
+    return tuple(range(batch_rank)) + tuple(batch_rank + i for i in front + rest)
 
 
 def inner_product(s1: PureState, s2: PureState) -> complex:
     """<s1|s2>, conjugate-linear in the first argument."""
     _check_same_wires(s1, s2)
-    return complex(np.vdot(s1.amps, s2.amps))
+    return _per_state(_vdot(s1.amps, s2.amps))
 
 
 def _check_same_wires(s1: PureState, s2: PureState) -> None:
@@ -225,72 +276,114 @@ def _check_same_wires(s1: PureState, s2: PureState) -> None:
         raise WireError(f"wire mismatch: {s1.wires} vs {s2.wires}")
 
 
-def _sum_sq(amps: np.ndarray) -> float:
-    if amps.size <= _DOT_BLOCK:
-        return float(np.real(np.vdot(amps, amps)))
-    # the real and imaginary parts in blocks, each one BLAS dot of _DOT_BLOCK
-    parts = np.ascontiguousarray(amps).view(np.float64).reshape(-1, 1, _DOT_BLOCK)
-    return float(np.matmul(parts, parts.swapaxes(1, 2)).sum())
+def _per_state(values: np.ndarray | np.generic):
+    """A batch's values as an array, a single state's as a Python scalar.
+
+    The kernels keep numpy values inside, whose methods cost little on a
+    scalar, and convert only what they return.
+    """
+    return values.item() if values.ndim == 0 else values
 
 
-def _in_range(state: PureState) -> tuple[np.ndarray, float, int]:
+def _all(flags: np.ndarray | np.bool_) -> bool:
+    """Whether every flag is set: one per element of a batch, or a single one."""
+    # a numpy scalar's own .all() costs more than the whole test of a small state
+    return bool(flags.all()) if flags.ndim else bool(flags)
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> along the last axis, element by element over the batch axes.
+
+    One BLAS dot per element, the one np.vdot calls, so the sums match it bit
+    for bit; a is conjugated inside the dot, not copied.
+    """
+    # [()] makes a single state's 0-d result a numpy scalar, cheaper to use
+    return np.vecdot(a, b)[()]
+
+
+def _sum_sq(amps: np.ndarray) -> np.ndarray:
+    """The plain sum of squares along the last axis.
+
+    Far from unit scale it may round to 0, inf or nan, silently, as np.vdot
+    does; _in_range rescales such states.
+    """
+    with np.errstate(all="ignore"):
+        if amps.shape[-1] <= _DOT_BLOCK:
+            return _vdot(amps, amps).real
+        # the real and imaginary parts in blocks, each one BLAS dot of _DOT_BLOCK
+        batch = amps.shape[:-1]
+        parts = np.ascontiguousarray(amps).view(np.float64).reshape(batch + (-1, 1, _DOT_BLOCK))
+        return np.matmul(parts, parts.swapaxes(-1, -2)).reshape(batch + (-1,)).sum(-1)
+
+
+def _in_range(state: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(amps * 2**shift, its squared norm, shift), the norm safe to multiply.
 
-    shift is 0 whenever the plain sum of squares lies in _NORM_SQ_RANGE;
-    otherwise it puts the largest real or imaginary part in [1/2, 1) (a
+    shift is 0 wherever the plain sum of squares lies in _NORM_SQ_RANGE;
+    elsewhere it puts the largest real or imaginary part in [1/2, 1) (a
     modulus itself may overflow). The squared norm is 0.0 only when every
-    amplitude is zero.
+    amplitude is zero. For a batch, norm and shift hold one value per element.
     """
-    amps, norm_sq = state.amps, state.norm_sq
-    if _NORM_SQ_RANGE[0] <= norm_sq <= _NORM_SQ_RANGE[1]:
-        return amps, norm_sq, 0
-    peak = max(float(np.abs(amps.real).max()), float(np.abs(amps.imag).max()))
-    if peak == 0.0:
-        return amps, 0.0, 0
-    shift = -math.frexp(peak)[1]
-    scaled = _ldexp(amps, shift)
+    amps, norm_sq = state.amps, state._norm_sq
+    # an overflowed sum may be nan, which is far too
+    near = (_NORM_SQ_RANGE[0] <= norm_sq) & (norm_sq <= _NORM_SQ_RANGE[1])
+    if _all(near):
+        return amps, norm_sq, _NO_SHIFT
+    peak = np.maximum(np.abs(amps.real).max(-1), np.abs(amps.imag).max(-1))
+    # frexp(0.0) is (0.0, 0): an all-zero state keeps shift 0 and sum 0.0
+    shift = np.where(near, 0, -np.frexp(peak)[1])
+    scaled = _ldexp(amps, shift[..., None])
     return scaled, _sum_sq(scaled), shift
 
 
-def _ldexp(amps: np.ndarray, shift: int) -> np.ndarray:
+_NO_SHIFT = np.int64(0)
+
+
+def _ldexp(amps: np.ndarray, shift) -> np.ndarray:
     # np.ldexp takes real arrays only, and 2.0**shift need not be a float
     return np.ldexp(amps.real, shift) + 1j * np.ldexp(amps.imag, shift)
 
 
-def _overlap(s1: PureState, s2: PureState, zero_message: str) -> tuple[float, float, float]:
-    """|<s1|s2>|^2, <s1|s1> and <s2|s2> after rescaling each state on its own."""
+def _overlap(s1: PureState, s2: PureState, zero_message: str) -> tuple:
+    """|<s1|s2>|^2, <s1|s1> and <s2|s2> after rescaling each state on its own.
+
+    A batch pairs with a single state or with a batch of the same size.
+    """
     a1, n1, _ = _in_range(s1)
     a2, n2, _ = _in_range(s2)
-    if n1 == 0.0 or n2 == 0.0:
+    if not (_all(n1 != 0.0) and _all(n2 != 0.0)):
         raise ZeroStateError(zero_message)
     _check_same_wires(s1, s2)
-    return abs(complex(np.vdot(a1, a2))) ** 2, n1, n2
+    ip = _vdot(a1, a2)
+    # libm's hypot and pow, as Python's abs(complex) ** 2 has them: np.abs and
+    # ** round differently in the last bit, and printed fidelities show it
+    return np.float_power(np.hypot(ip.real, ip.imag), 2), n1, n2
 
 
-def equal_up_to_phase(s1: PureState, s2: PureState, tol: float = DEFAULT_TOL) -> bool:
-    """True iff s1 = c*s2 for some nonzero complex scalar c.
+def equal_up_to_phase(s1: PureState, s2: PureState, tol: float = DEFAULT_TOL) -> bool | np.ndarray:
+    """True iff s1 = c*s2 for some nonzero complex scalar c; per element for a batch.
 
     Tested via the Cauchy-Schwarz equality |<s1,s2>|^2 = <s1,s1><s2,s2>,
     relative to tol.
     """
     ip, n1, n2 = _overlap(s1, s2, "cannot compare a zero state up to phase")
-    return abs(ip - n1 * n2) <= tol * n1 * n2
+    return _per_state(np.abs(ip - n1 * n2) <= tol * n1 * n2)
 
 
-def fidelity(s1: PureState, s2: PureState) -> float:
-    """|<s1|s2>|^2 on normalized copies, clamped into [0, 1]."""
+def fidelity(s1: PureState, s2: PureState) -> float | np.ndarray:
+    """|<s1|s2>|^2 on normalized copies, clamped into [0, 1]; per element for a batch."""
     ip, n1, n2 = _overlap(s1, s2, "fidelity of a zero state is undefined")
-    return min(max(ip / (n1 * n2), 0.0), 1.0)
+    return _per_state(np.minimum(np.maximum(ip / (n1 * n2), 0.0), 1.0))
 
 
-def norm_drift(before: PureState, after: PureState) -> float:
-    """|<after|after> - <before|before>| / <before|before>, at any scale."""
+def norm_drift(before: PureState, after: PureState) -> float | np.ndarray:
+    """|<after|after> - <before|before>| / <before|before>, at any scale; per element for a batch."""
     _, n0, k0 = _in_range(before)
     _, n1, k1 = _in_range(after)
-    if n0 == 0.0:
+    if not _all(n0 != 0.0):
         raise ZeroStateError("norm drift from a zero state is undefined")
     # n0 and n1 were summed 4**k0 and 4**k1 times too large
-    return abs(math.ldexp(n1, 2 * (k0 - k1)) - n0) / n0
+    return _per_state(abs(np.ldexp(n1, 2 * (k0 - k1)) - n0) / n0)
 
 
 def permute_wires(state: PureState, new_order: Sequence[str]) -> PureState:
@@ -329,36 +422,46 @@ def schmidt_factor(
     state up to rounding, with each side's wires in state order. The factor
     on the side with fewer amplitudes (the right one on a square cut) has
     norm 1; the other carries the state's norm.
+
+    For a batch the rank holds one value per element, from one batched SVD,
+    and the factors are batches, returned only when every rank is 1.
     """
     if set(cut.left) | set(cut.right) != set(state.wires):
         raise WireError("cut does not cover exactly the state's wires")
     scaled, norm_sq, shift = _in_range(state)
-    if norm_sq == 0.0:
+    if not _all(norm_sq != 0.0):
         raise ZeroStateError("cannot factor a zero state")
     left_wires = tuple(w for w in state.wires if w in cut.left)
     right_wires = tuple(w for w in state.wires if w in cut.right)
-    positions = [state.wires.index(w) for w in left_wires]
-    arr = np.moveaxis(scaled.reshape((2,) * state.n_wires), positions, range(len(positions)))
-    mat = arr.reshape(1 << len(left_wires), 1 << len(right_wires))
+    positions = tuple(state.wires.index(w) for w in left_wires)
+    batch = state.amps.shape[:-1]
+    plan = _axis_plan(state.n_wires, positions, len(batch))
+    arr = scaled.reshape(batch + (2,) * state.n_wires).transpose(plan)
+    mat = arr.reshape(batch + (1 << len(left_wires), 1 << len(right_wires)))
     # The SVD runs on the tall orientation cut to at most one block of rows,
     # which keeps the singular values and right singular vectors. QR is
     # backward-stable, so the rank test keeps its meaning (a Gram matrix
     # would square the tolerance).
-    tall = mat if mat.shape[0] >= mat.shape[1] else mat.T
+    tall = mat if mat.shape[-2] >= mat.shape[-1] else mat.swapaxes(-1, -2)
     _, sv, vh = np.linalg.svd(_reduce_rows(tall), full_matrices=False)
-    rank = int(np.sum(sv > tol * sv[0]))
-    if rank != 1:
-        return rank, None
-    small = vh[0]
+    rank = (sv > tol * sv[..., :1]).sum(-1)
+    if not _all(rank == 1):
+        return _per_state(rank), None
+    small = vh[..., 0, :]
     # row blocks, each one BLAS call below _GEMV_BLOCK
-    rows, cols = tall.shape
+    rows, cols = tall.shape[-2:]
     step = min(rows, max(1, _GEMV_BLOCK // cols))
-    big = np.matmul(np.reshape(tall, (-1, step, cols)), small.conj()).reshape(-1)
-    if shift:
-        big = _ldexp(big, -shift)
-    # mat == outer(big, small) when tall is mat, and outer(small, big) when it is mat.T
+    blocks = np.reshape(tall, batch + (-1, step, cols))
+    big = np.matmul(blocks, small.conj()[..., None, :, None]).reshape(batch + (rows,))
+    if not _all(shift == 0):
+        big = _ldexp(big, -shift[..., None])
+    # mat == outer(big, small) when tall is mat, and outer(small, big) when it is
+    # mat transposed
     left, right = (big, small) if tall is mat else (small, big)
-    return 1, (PureState._adopt(left_wires, left), PureState._adopt(right_wires, right))
+    return _per_state(rank), (
+        PureState._adopt(left_wires, left),
+        PureState._adopt(right_wires, right),
+    )
 
 
 def _reduce_rows(tall: np.ndarray) -> np.ndarray:
@@ -369,12 +472,13 @@ def _reduce_rows(tall: np.ndarray) -> np.ndarray:
     stays below _GEMV_BLOCK, in cache and on one thread; the reduction
     repeats until one block is left. It is backward-stable like a plain QR.
     """
-    rows, cols = tall.shape
+    batch = tall.shape[:-2]
+    rows, cols = tall.shape[-2:]
     block = max(2 * cols, _GEMV_BLOCK // cols)
     while rows > block:
-        stacked = np.linalg.qr(np.reshape(tall, (rows // block, block, cols)), mode="r")
-        tall = stacked.reshape(-1, cols)
-        rows = tall.shape[0]
+        stacked = np.linalg.qr(np.reshape(tall, batch + (rows // block, block, cols)), mode="r")
+        tall = stacked.reshape(batch + (-1, cols))
+        rows = tall.shape[-2]
     return tall
 
 
@@ -424,6 +528,7 @@ def branch_decompose(
         missing = [w for w in pointer if w not in state.wires]
         raise WireError(f"unknown wire(s) {missing}") from None
     _, total, shift = _in_range(state)
+    total = float(total)
     if total == 0.0:
         raise ZeroStateError("cannot decompose a zero state")
     rest = tuple(w for w in state.wires if w not in pointer)
@@ -436,7 +541,7 @@ def branch_decompose(
         residual = PureState._adopt(rest, rows[value])
         raw = residual.norm_sq
         # raw stays as stored; the weight needs the row at the total's scale
-        weight = (_sum_sq(_ldexp(residual.amps, shift)) if shift else raw) / total
+        weight = float(_sum_sq(_ldexp(residual.amps, shift)) if shift else raw) / total
         if weight <= tol:
             continue
         bits = tuple((value >> (k - 1 - i)) & 1 for i in range(k))

@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines, or
 `everettsim verify` for the same checks from the CLI.
 """
 
+import tracemalloc
+
 import pytest
 
 from everettsim import verify
@@ -31,3 +33,16 @@ def test_check_5_pins_the_whole_decode_table(monkeypatch):
     monkeypatch.setattr(verify, "derive_decode_table", lambda: identity)
     with pytest.raises(AssertionError, match="hand-derived table"):
         verify._check_superdense_end_to_end()
+
+
+def test_check_6_holds_its_batch_in_little_memory():
+    # 1000 states of 32 amplitudes take 0.5 MiB; a pass that kept every
+    # step's batch, or one per-input copy of each, would exceed the bound
+    verify._check_teleport_random()  # parse the template and build the gates first
+    tracemalloc.start()
+    try:
+        verify._check_teleport_random()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"

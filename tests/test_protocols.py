@@ -29,6 +29,7 @@ from everettsim.protocols import (
     pointer_bell_sum,
     run_superdense,
     run_teleport,
+    run_teleport_batch,
     transfer,
 )
 from everettsim.state import (
@@ -37,6 +38,7 @@ from everettsim.state import (
     branch_decompose,
     equal_up_to_phase,
     qubit,
+    schmidt_factor,
     tensor,
 )
 
@@ -311,6 +313,63 @@ def test_teleport_moves_both_pointer_wires():
 def test_teleport_preserves_the_global_norm():
     result = run_teleport(0.6, 0.8)
     assert result.world.state.norm_sq == pytest.approx(2.0, abs=1e-12)
+
+
+def test_teleport_batch_agrees_with_single_runs_at_every_scale(rng):
+    scales = np.resize([1e-300, 1.0, 1e300], 12)
+    inputs = (rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))) * scales[:, None]
+    batch = run_teleport_batch(inputs[:, 0], inputs[:, 1])
+    assert batch.schmidt_rank_b_cut == 1
+    assert batch.bob_qubit.amps.shape == (12, 2) and batch.world.state.amps.shape == (12, 32)
+    for i, (alpha, beta) in enumerate(inputs):
+        single = run_teleport(alpha, beta)
+        assert single.schmidt_rank_b_cut == 1
+        assert abs(batch.fidelity[i] - single.fidelity) <= 1e-15
+        assert equal_up_to_phase(batch.bob_qubit.element(i), single.bob_qubit)
+        assert equal_up_to_phase(batch.pointer_side.element(i), single.pointer_side)
+        assert batch.world.trace == single.world.trace
+
+
+def test_teleport_batch_rejects_a_zero_qubit_by_index():
+    with pytest.raises(ValueError, match="^batch element 1: input qubit must be nonzero$"):
+        run_teleport_batch([1, 0, 0.6], [0, 0, 0.8j])
+
+
+def _swap_inputs_of_element_2(real):
+    def oracle(alphas, betas):
+        alphas, betas = alphas.copy(), betas.copy()
+        alphas[2], betas[2] = betas[2], alphas[2]
+        return real(alphas, betas)
+
+    return oracle
+
+
+def _rank_2_at_element_2(real):
+    def factor(state, cut, tol):
+        rank, _ = real(state, cut, tol)
+        rank = rank.copy()
+        rank[2] = 2
+        return rank, None
+
+    return factor
+
+
+@pytest.mark.parametrize("element2,patch,message", [
+    # halving the smallest subnormal rounds, so only element 2 loses norm
+    ((5e-324, 5e-324j), None, "gate cu_meas did not preserve the norm: the amplitudes lie below"),
+    ((0.28 - 0.45j, 0.71 + 0.46j), ("_measured_superposition", _swap_inputs_of_element_2),
+     "post-measurement state diverged from the four-branch form"),
+    ((0.28 - 0.45j, 0.71 + 0.46j), ("schmidt_factor", _rank_2_at_element_2),
+     r"final state is not a product across the b cut \(rank 2\)$"),
+])
+def test_teleport_batch_names_the_one_element_that_fails(monkeypatch, element2, patch, message):
+    alphas, betas = [0.6, 1.0, element2[0], 0.3j], [0.8j, 0.0, element2[1], 0.9]
+    if patch is not None:
+        run_teleport_batch(alphas, betas)  # the real step passes every element
+        name, wrap = patch
+        monkeypatch.setattr(protocols, name, wrap(getattr(protocols, name)))
+    with pytest.raises(ProtocolError, match=f"^batch element 2: {message}"):
+        run_teleport_batch(alphas, betas)
 
 
 # ---------------------------------------------------------------- locality

@@ -399,6 +399,91 @@ def test_cut_must_cover_the_wires():
         Bipartition(frozenset("a"), frozenset("a"))
 
 
+# ----------------------------------------------------------------- batches
+
+
+def rand_batch(rng, wires, size, scales=(1.0,)):
+    """A batch of random states, element i scaled by scales[i % len(scales)]."""
+    amps = random_amps(rng, (size, 1 << len(wires)))
+    return PureState(wires, amps * np.resize(scales, size)[:, None])
+
+
+def test_a_batch_is_one_state_per_row(rng):
+    batch = rand_batch(rng, ("a", "b"), 3)
+    assert batch.amps.shape == (3, 4) and batch.norm_sq.shape == (3,)
+    for i in range(3):
+        row = batch.element(i)
+        assert np.array_equal(row.amps, batch.amps[i])
+        assert row.norm_sq == batch.norm_sq[i]
+    with pytest.raises(StateError, match="only a batch"):
+        row.element(0)
+    with pytest.raises(StateError, match="at least one state"):
+        PureState(("a",), np.zeros((0, 2)))
+    with pytest.raises(StateError, match="non-finite"):
+        PureState(("a",), [[1, 0], [np.inf, 0]])
+
+
+def test_tensor_pairs_each_row_of_one_batch_with_single_states(rng):
+    batch = rand_batch(rng, ("b",), 4)
+    left, right = rand_state(rng, ("a",)), rand_state(rng, ("c", "d"))
+    product = tensor(left, batch, right)
+    assert product.wires == ("a", "b", "c", "d") and product.amps.shape == (4, 16)
+    for i in range(4):
+        assert np.array_equal(product.amps[i], tensor(left, batch.element(i), right).amps)
+    with pytest.raises(StateError, match="at most one batch"):
+        tensor(batch, rand_batch(rng, ("c",), 4))
+
+
+@pytest.mark.parametrize("n,size,targets", [
+    (6, 300, ("w4", "w0", "w2")),  # the batch split into runs of elements
+    (14, 3, ("w9", "w3", "w13", "w0")),  # per element, blocks over the middle wires
+])
+def test_batched_kernels_agree_with_each_element(rng, n, size, targets):
+    wires = tuple(f"w{i}" for i in range(n))
+    batch = rand_batch(rng, wires, size, scales=(1e-300, 1.0, 1e300))
+    other = rand_batch(rng, wires, size)
+    gate = UnitaryGate(len(targets), random_unitary(rng, 1 << len(targets)))
+    out = apply(gate, targets, batch)
+    assert out.amps.shape == batch.amps.shape and not out.amps.flags.writeable
+    drift = norm_drift(batch, out)
+    same = equal_up_to_phase(out, PureState(wires, 1j * out.amps))
+    differ = equal_up_to_phase(batch, other)
+    fid = fidelity(batch, other)
+    cut = Bipartition(frozenset(wires[:2]), frozenset(wires[2:]))
+    rank, factors = schmidt_factor(batch, cut)
+    assert factors is None
+    for i in range(size):
+        one = batch.element(i)
+        # the plain sum, nan where it overflows, as for the element alone
+        np.testing.assert_equal(batch.norm_sq[i], one.norm_sq)
+        single = apply(gate, targets, one)
+        scale = np.abs(single.amps).max()
+        assert np.allclose(out.amps[i], single.amps, rtol=0, atol=1e-12 * scale)
+        assert drift[i] == pytest.approx(norm_drift(one, single), abs=1e-15)
+        assert same[i] and not differ[i]
+        assert fid[i] == pytest.approx(fidelity(one, other.element(i)), rel=1e-12)
+        assert rank[i] == schmidt_factor(one, cut)[0] == 4
+
+
+def test_batched_schmidt_factors_rebuild_every_element(rng):
+    wires = ("a", "b", "c")
+    left = rand_batch(rng, wires[:2], 6, scales=(1e-300, 1.0, 1e300))
+    right = rand_state(rng, wires[2:])
+    joint = tensor(left, right)
+    rank, (got_left, got_right) = schmidt_factor(joint, Bipartition(wires[:2], wires[2:]))
+    assert list(rank) == [1] * 6
+    assert got_left.amps.shape == (6, 4) and got_right.amps.shape == (6, 2)
+    for i in range(6):
+        rebuilt = tensor(got_left.element(i), got_right.element(i))
+        atol = 1e-12 * np.abs(joint.amps[i]).max()
+        assert np.allclose(rebuilt.amps, joint.amps[i], rtol=1e-12, atol=atol)
+    # one entangled element keeps the factors back and shows in the rank
+    amps = joint.amps.copy()
+    amps[4] = tensor(rand_state(rng, ("a",)), bell(0, 0, ("b", "c"))).amps
+    rank, factors = schmidt_factor(PureState(wires, amps), Bipartition(wires[:2], wires[2:]))
+    assert list(rank) == [1, 1, 1, 1, 2, 1] and factors is None
+
+
 # -------------------------------------------------------- branch decompose
 
 
