@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Union
 
 from . import protocols
 from .gates import UnitaryGate, bell, cu_meas, cu_sigma, sigma, u_b_decoder
-from .state import MAX_WIRES, Bipartition, equal_up_to_phase, qubit, schmidt_factor
+from .state import MAX_WIRES, Bipartition, StateError, equal_up_to_phase, qubit, schmidt_factor
 
 ASSERT_TOL = 1e-10
 
@@ -378,6 +378,8 @@ def exec_circuit(
     violations and malformed runtime states raise and halt. A program that
     initializes more than MAX_WIRES wires halts before its first statement,
     naming the init that crosses the limit, so no part of it is allocated.
+    An init whose product with the world state leaves the float range halts
+    there, naming its line.
     """
     planned: set[str] = set()
     for stmt in prog.statements:
@@ -405,7 +407,11 @@ def exec_circuit(
             raise CircuitError(f"line {stmt.line}: zero initializer for {stmt.wire!r}")
         else:
             piece, label = qubit(stmt.wire, stmt.expr.amp0, stmt.expr.amp1), stmt.expr.text
-        world = protocols.init_wires(world, piece, {w: agents[w] for w in piece.wires}, label)
+        try:
+            world = protocols.init_wires(world, piece, {w: agents[w] for w in piece.wires}, label)
+        except StateError as err:
+            # the product with the world state left the float range
+            raise CircuitError(f"line {stmt.line}: {err}") from None
     return world, outcomes
 
 

@@ -20,6 +20,7 @@ label (``cu_meas``), and the receiver's correction unitary (``u_b_decoder``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -110,13 +111,11 @@ def control_unitary(spec: ControlSpec, name: str = "") -> UnitaryGate:
     Control wires come first (most significant), targets last.
     """
     k, t = spec.control_arity, spec.target_arity
-    dt = 1 << t
-    full = np.zeros(((1 << k) * dt, (1 << k) * dt), dtype=complex)
-    for value in range(1 << k):
-        bits = tuple((value >> (k - 1 - i)) & 1 for i in range(k))
-        block = spec.branch_gates[bits].matrix
-        full[value * dt : (value + 1) * dt, value * dt : (value + 1) * dt] = block
-    return UnitaryGate(k + t, full, name=name)
+    blocks = [spec.branch_gates[bits].matrix for bits in itertools.product(_BITS, repeat=k)]
+    # full[c, :, c, :] holds the c-th control bit string's block, first bit most significant
+    full = np.zeros((1 << k, 1 << t, 1 << k, 1 << t), dtype=complex)
+    full[range(1 << k), :, range(1 << k), :] = blocks
+    return UnitaryGate(k + t, full.reshape(1 << (k + t), -1), name=name)
 
 
 @lru_cache(maxsize=None)

@@ -154,28 +154,29 @@ class PureState:
 
     def index_of(self, bits: Sequence[int]) -> int:
         """Basis index of a full wire assignment."""
-        if len(bits) != self.n_wires:
-            raise WireError(f"need {self.n_wires} bits, got {len(bits)}")
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | (b & 1)
-        return idx
+        return _pack(bits, self.n_wires)
 
     def __repr__(self) -> str:
         batch = f", batch={self.amps.shape[0]}" if self.amps.ndim == 2 else ""
         return f"PureState(wires={self.wires}, dim={self.amps.shape[-1]}{batch})"
 
 
-def basis_state(wires: Sequence[str], bits: Sequence[int]) -> PureState:
-    """|bits> over the given wires, e.g. basis_state(('a','b'), (1,0)) = |10>."""
-    if len(wires) != len(bits):
-        raise WireError("one bit per wire required")
-    amps = np.zeros(1 << len(wires), dtype=complex)
+def _pack(bits: Sequence[int], n: int) -> int:
+    """The basis index of one bit per wire over n wires, first wire most significant."""
+    if len(bits) != n:
+        raise WireError(f"need {n} bits, got {len(bits)}")
     idx = 0
     for b in bits:
         if b not in (0, 1):
             raise StateError(f"bit must be 0 or 1, got {b!r}")
         idx = (idx << 1) | b
+    return idx
+
+
+def basis_state(wires: Sequence[str], bits: Sequence[int]) -> PureState:
+    """|bits> over the given wires, e.g. basis_state(('a','b'), (1,0)) = |10>."""
+    idx = _pack(bits, len(wires))
+    amps = np.zeros(1 << len(wires), dtype=complex)
     amps[idx] = 1.0
     return PureState(tuple(wires), amps)
 
@@ -189,7 +190,9 @@ def tensor(*states: PureState) -> PureState:
     """Tensor product; wire lists concatenate, amplitudes take the outer product.
 
     At most one factor may be a batch; the product is then a batch too, each
-    of its rows tensored with the single states.
+    of its rows tensored with the single states. A product that leaves the
+    float range raises StateError: one that overflows, and one that rounds
+    to the zero vector although no factor is zero.
     """
     if not states:
         raise StateError("tensor needs at least one state")
@@ -206,10 +209,24 @@ def tensor(*states: PureState) -> PureState:
             f"a dense state of {len(wires)} wires exceeds the limit of {MAX_WIRES} wires"
         )
     amps = states[0].amps
-    for s in states[1:]:
-        # a 1-D factor counts as one row, so a batch's rows pair with it
-        amps = np.kron(amps, s.amps)
-    return PureState._adopt(wires, amps)
+    with np.errstate(all="ignore"):
+        for s in states[1:]:
+            # broadcasting pairs a batch's rows with a single state
+            outer = amps[..., :, None] * s.amps[..., None, :]
+            amps = outer.reshape(outer.shape[:-2] + (-1,))
+    try:
+        product = PureState._adopt(wires, amps)
+    except StateError:
+        # every factor is finite, so only an overflow makes the product not
+        raise StateError("tensor product overflows the float range") from None
+    # a zero sum of squares may hide nonzero amplitudes, so look at them
+    if not _all(product._norm_sq != 0.0):
+        lost = ~amps.any(-1)
+        for s in states:
+            lost &= s.amps.any(-1)
+        if lost.any():
+            raise StateError("tensor product of nonzero factors rounds to the zero vector")
+    return product
 
 
 def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureState:
@@ -218,21 +235,11 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
     k = len(targets)
     if gate.arity != k:
         raise StateError(f"gate acts on {gate.arity} wires, got {k} targets")
-    if len(set(targets)) != k:
-        raise WireError(f"repeated target wire in {targets}")
-    try:
-        positions = [state.wires.index(t) for t in targets]
-    except ValueError:
-        missing = [t for t in targets if t not in state.wires]
-        raise WireError(f"unknown wire(s) {missing}") from None
     n = state.n_wires
     batch = state.amps.shape[:-1]
-    # the batch axis, then the target axes, then the other wires, in the input
-    # and in the result
-    plan = _axis_plan(n, tuple(positions), len(batch))
-    src = state.amps.reshape(batch + (2,) * n).transpose(plan)
+    src = _wire_view(state, targets, state.amps, "target")
     out = np.empty(state.amps.shape, dtype=complex)
-    dst = out.reshape(batch + (2,) * n).transpose(plan)
+    dst = _wire_view(state, targets, out, "target")
     # One block for each value of the other wires but the last `inner`, and
     # for a batch, for each run of elements that fills a block: the gate times
     # each element's 2**k x 2**inner amplitudes, one BLAS call below
@@ -252,15 +259,30 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
     return PureState._adopt(state.wires, out)
 
 
+def _wire_view(state: PureState, wires: tuple[str, ...], amps: np.ndarray, role: str) -> np.ndarray:
+    """`amps`, laid out as `state`'s, viewed as (batch..., 2, ..., 2) with `wires` first.
+
+    The batch axes come first, then the axes of `wires` in their order, then
+    the other wires in state order. A repeated or unknown wire raises
+    WireError; `role` names the wires in the first message.
+    """
+    if len(set(wires)) != len(wires):
+        raise WireError(f"repeated {role} wire in {wires}")
+    try:
+        front = tuple(map(state.wires.index, wires))
+    except ValueError:
+        missing = [w for w in wires if w not in state.wires]
+        raise WireError(f"unknown wire(s) {missing}") from None
+    batch = amps.shape[:-1]
+    plan = _axis_plan(state.n_wires, front, len(batch))
+    return amps.reshape(batch + (2,) * state.n_wires).transpose(plan)
+
+
 # bounded: a long program's random target choices would otherwise grow it for
 # the life of the process
 @lru_cache(maxsize=4096)
 def _axis_plan(n: int, front: tuple[int, ...], batch_rank: int) -> tuple[int, ...]:
-    """A transpose of a (batch..., 2, ..., 2) amplitude array: batch axes first.
-
-    The wires at positions `front` follow the batch axes, then the other wires
-    in order.
-    """
+    """The transpose _wire_view takes for the wire positions `front`."""
     rest = tuple(i for i in range(n) if i not in front)
     return tuple(range(batch_rank)) + tuple(batch_rank + i for i in front + rest)
 
@@ -433,10 +455,8 @@ def schmidt_factor(
         raise ZeroStateError("cannot factor a zero state")
     left_wires = tuple(w for w in state.wires if w in cut.left)
     right_wires = tuple(w for w in state.wires if w in cut.right)
-    positions = tuple(state.wires.index(w) for w in left_wires)
     batch = state.amps.shape[:-1]
-    plan = _axis_plan(state.n_wires, positions, len(batch))
-    arr = scaled.reshape(batch + (2,) * state.n_wires).transpose(plan)
+    arr = _wire_view(state, left_wires, scaled, "cut")
     mat = arr.reshape(batch + (1 << len(left_wires), 1 << len(right_wires)))
     # The SVD runs on the tall orientation cut to at most one block of rows,
     # which keeps the singular values and right singular vectors. QR is
@@ -520,32 +540,21 @@ def branch_decompose(
     pointer = tuple(pointer)
     if not pointer:
         raise WireError("pointer wire list is empty")
-    if len(set(pointer)) != len(pointer):
-        raise WireError(f"repeated pointer wire in {pointer}")
-    try:
-        positions = [state.wires.index(w) for w in pointer]
-    except ValueError:
-        missing = [w for w in pointer if w not in state.wires]
-        raise WireError(f"unknown wire(s) {missing}") from None
+    rows = _wire_view(state, pointer, state.amps, "pointer").reshape(1 << len(pointer), -1)
     _, total, shift = _in_range(state)
     total = float(total)
     if total == 0.0:
         raise ZeroStateError("cannot decompose a zero state")
     rest = tuple(w for w in state.wires if w not in pointer)
-    k = len(pointer)
-    arr = np.moveaxis(state.amps.reshape((2,) * state.n_wires), positions, range(k))
-    rows = arr.reshape(1 << k, -1)
     branches = []
-    for value in range(1 << k):
+    for row, bits in zip(rows, itertools.product((0, 1), repeat=len(pointer))):
         # a row of a read-only state or of a fresh gather, never written again
-        residual = PureState._adopt(rest, rows[value])
+        residual = PureState._adopt(rest, row)
         raw = residual.norm_sq
         # raw stays as stored; the weight needs the row at the total's scale
         weight = float(_sum_sq(_ldexp(residual.amps, shift)) if shift else raw) / total
-        if weight <= tol:
-            continue
-        bits = tuple((value >> (k - 1 - i)) & 1 for i in range(k))
-        branches.append(Branch(bits, residual, raw, weight))
+        if weight > tol:
+            branches.append(Branch(bits, residual, raw, weight))
     return BranchDecomposition(pointer, tuple(branches), total)
 
 

@@ -7,8 +7,12 @@ path it is used to check.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from everettsim import circuit, state
 
 
 def embed(matrix: np.ndarray, positions: list[int], n: int) -> np.ndarray:
@@ -55,10 +59,22 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def kron_forbidden(monkeypatch) -> None:
-    """Make any np.kron call fail, to show a bound is checked before allocating."""
+def small_wire_limit(monkeypatch):
+    """Lower the dense-state bound to 16 wires and trace allocations until teardown.
 
-    def no_allocation(*args):
-        raise AssertionError("np.kron called past the wire limit")
+    One wire past the bound a state takes 2**17 amplitudes, 2 MiB, so a refused
+    call that formed such a state first lifts `traced_peak` past 1 MiB,
+    whichever numpy call allocated it. Yields the lowered bound.
+    """
+    monkeypatch.setattr(state, "MAX_WIRES", 16)
+    monkeypatch.setattr(circuit, "MAX_WIRES", 16)
+    tracemalloc.start()
+    try:
+        yield 16
+    finally:
+        tracemalloc.stop()
 
-    monkeypatch.setattr(np, "kron", no_allocation)
+
+def traced_peak() -> int:
+    """The most bytes tracemalloc has seen allocated at once since tracing started."""
+    return tracemalloc.get_traced_memory()[1]

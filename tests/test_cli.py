@@ -3,12 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from everettsim import cli, fixtures, gates
 from everettsim.circuit import GATES, superdense_source
 from everettsim.cli import main
 from everettsim.gates import UnitaryGate, cu_meas
-from everettsim.state import MAX_WIRES, ZeroStateError
+from everettsim.state import ZeroStateError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -293,16 +294,39 @@ def test_teleport_prints_no_negative_zero(capsys):
     assert "+ (0.000000000000,0.000000000000) |1>" in out
 
 
-def test_run_past_the_wire_limit_fails_before_allocating(capsys, tmp_path, kron_forbidden):
-    n = MAX_WIRES + 1
+def test_run_past_the_wire_limit_fails_before_allocating(capsys, tmp_path, small_wire_limit):
+    n = small_wire_limit + 1
     lines = [f"wire w{i} @ Alice" for i in range(n)] + [f"init w{i} = |0>" for i in range(n)]
     path = tmp_path / "wide.ecirc"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "run", str(path))
+    # running the inits before the bound check would build a state of 2**16
+    # amplitudes, 1 MiB, and a product as large
+    assert traced_peak() < 2**20
     assert (code, out) == (1, "")
     assert_one_error_line(err)
-    # the 25th init is on line 2n
+    # the init past the bound is on line 2n
     assert f"line {2 * n}: initializes wire {n}" in err
+
+
+@pytest.mark.parametrize("wires,init,tail,message", [
+    ("xyz", "(1e150,0) |0> + (1e150,0) |1>", "",
+     "line 6: tensor product overflows the float range"),
+    ("xy", "(1e-200,0) |0> + (0,0) |1>", "gate sigma00 x @ Alice",
+     "line 4: tensor product of nonzero factors rounds to the zero vector"),
+    ("xy", "(1e-200,0) |0> + (0,0) |1>", "assert factor x ~ |0>",
+     "line 4: tensor product of nonzero factors rounds to the zero vector"),
+], ids=["overflow", "underflow-then-gate", "underflow-then-assert"])
+def test_run_names_the_init_whose_product_leaves_the_float_range(
+    capsys, tmp_path, wires, init, tail, message
+):
+    lines = [f"wire {w} @ Alice" for w in wires] + [f"init {w} = {init}" for w in wires]
+    path = tmp_path / "range.ecirc"
+    path.write_text("\n".join(lines + [tail]) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (1, "")
+    assert_one_error_line(err)
+    assert err == f"everettsim: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("golden,argv", [

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from conftest import embed, random_amps, random_unitary
+from conftest import embed, random_amps, random_unitary, traced_peak
 
 from everettsim.gates import UnitaryGate, bell, sigma
 from everettsim.state import (
     DEFAULT_TOL,
-    MAX_WIRES,
     Bipartition,
     PureState,
     StateError,
@@ -70,6 +69,15 @@ def test_index_of_packs_first_wire_most_significant():
     assert s.amps[0b101] == 1.0
 
 
+@pytest.mark.parametrize("bits", [(2, 0, 1), (-1, 0, 0)])
+def test_index_of_rejects_a_non_bit_as_basis_state_does(bits):
+    s = basis_state(("a", "b", "c"), (0, 0, 0))
+    with pytest.raises(StateError, match="bit must be 0 or 1"):
+        s.index_of(bits)
+    with pytest.raises(StateError, match="bit must be 0 or 1"):
+        basis_state(("a", "b", "c"), bits)
+
+
 # ------------------------------------------------------------------ tensor
 
 
@@ -101,12 +109,41 @@ def test_tensor_rejects_duplicate_labels():
         tensor(qubit("a", 1, 0), qubit("a", 1, 0))
 
 
-def test_tensor_refuses_a_state_wider_than_max_wires(kron_forbidden):
-    half = (MAX_WIRES + 2) // 2
+def test_tensor_refuses_a_state_wider_than_max_wires(small_wire_limit):
+    half = (small_wire_limit + 2) // 2
     s1 = basis_state(tuple(f"l{i}" for i in range(half)), (0,) * half)
     s2 = basis_state(tuple(f"r{i}" for i in range(half)), (1,) * half)
-    with pytest.raises(StateError, match=f"{2 * half} wires exceeds the limit of {MAX_WIRES}"):
+    limit = f"{2 * half} wires exceeds the limit of {small_wire_limit}"
+    with pytest.raises(StateError, match=limit):
         tensor(s1, s2)
+    # the product would take 2**18 amplitudes, 4 MiB
+    assert traced_peak() < 2**20
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_tensor_refuses_a_product_that_overflows(batch):
+    big = [qubit(w, 1e150, 1e150) for w in "abc"]
+    if batch:
+        big[1] = qubit("b", [1.0, 1e150], [1.0, 1e150])
+    with pytest.raises(StateError, match="^tensor product overflows the float range$"):
+        tensor(*big)
+
+
+def test_tensor_refuses_nonzero_factors_whose_product_rounds_to_zero():
+    tiny = qubit("a", 1e-200, 0), qubit("b", 0, 1e-200)
+    with pytest.raises(StateError, match="^tensor product of nonzero factors rounds to the zero vector$"):
+        tensor(*tiny)
+    # an element of a batch is checked on its own
+    with pytest.raises(StateError, match="rounds to the zero vector"):
+        tensor(tiny[0], qubit("b", [1.0, 1e-200], [0.0, 0.0]))
+
+
+def test_tensor_keeps_the_zero_state_of_a_zero_factor():
+    zero = PureState(("a",), np.zeros(2))
+    assert not tensor(zero, qubit("b", 1e-200, 1)).amps.any()
+    assert not tensor(qubit("b", 1e300, 1e300), zero).amps.any()
+    # a tiny product next to an amplitude that survives is no error
+    assert tensor(qubit("a", 1e-200, 1), qubit("b", 1e-200, 1)).amps[0] == 0
 
 
 def test_tensor_is_associative_up_to_wire_order(rng):
