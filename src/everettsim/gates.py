@@ -45,11 +45,19 @@ class UnitaryGate:
     Unitarity is checked at construction; a failing matrix raises GateError.
     Row/column index bits follow the package basis convention, first wire
     most significant.
+
+    ``monomial`` is set when the matrix has exactly one nonzero entry per row
+    and per column, a phased permutation of basis states such as every
+    ``sigma``, ``cu_sigma`` and ``u_b``: one ``(row, column, entry)`` per
+    nonzero, in row order. It is None for any other matrix.
     """
 
     arity: int
     matrix: np.ndarray
     name: str = ""
+    monomial: tuple[tuple[int, int, complex], ...] | None = field(
+        init=False, repr=False, default=None
+    )
 
     def __post_init__(self) -> None:
         dim = 1 << self.arity
@@ -63,6 +71,12 @@ class UnitaryGate:
             raise GateError(f"matrix is not unitary (defect {defect:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        # every row and column of a unitary holds a nonzero entry, so dim
+        # nonzero entries are one per row and one per column
+        rows, cols = np.nonzero(mat)
+        if len(rows) == dim:
+            entries = zip(rows.tolist(), cols.tolist(), mat[rows, cols].tolist())
+            object.__setattr__(self, "monomial", tuple(entries))
 
     def __repr__(self) -> str:
         return f"UnitaryGate(name={self.name!r}, arity={self.arity})"

@@ -51,6 +51,17 @@ _GEMM_BLOCK = 1 << 15
 _GEMV_BLOCK = 1 << 11
 _DOT_BLOCK = 1 << 13
 
+# complex amplitudes in one 64-byte cache line
+_LINE = 4
+# Below this many rows a product is one broadcast numpy call: a call per
+# column costs more than the broadcast's overhead per row, which on a 2-core
+# x86-64 VM broke even near 2**9 rows of 2 or 4 columns.
+_COLUMN_ROWS = 1 << 10
+# A product written column by column touches each of its cache lines once per
+# column; this many rows keep those lines (512 KiB) in a core's L2 cache until
+# every column is written, instead of fetching them again from memory.
+_ROW_CHUNK = 1 << 13
+
 
 class StateError(ValueError):
     """Invalid statevector operation."""
@@ -211,9 +222,7 @@ def tensor(*states: PureState) -> PureState:
     amps = states[0].amps
     with np.errstate(all="ignore"):
         for s in states[1:]:
-            # broadcasting pairs a batch's rows with a single state
-            outer = amps[..., :, None] * s.amps[..., None, :]
-            amps = outer.reshape(outer.shape[:-2] + (-1,))
+            amps = _outer(amps, s.amps)
     try:
         product = PureState._adopt(wires, amps)
     except StateError:
@@ -229,6 +238,30 @@ def tensor(*states: PureState) -> PureState:
     return product
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The outer product of a and b along the last axis, flattened: np.kron's products.
+
+    At most one of a and b is a batch; broadcasting pairs its rows with the
+    single state. Each product is a[i] * b[j], operands in that order. A
+    broadcast product loops over b innermost, which is slow when b holds only
+    a few amplitudes. A b that fits in one cache line, in a product of at
+    least _COLUMN_ROWS rows (counted over a batch), is therefore written one
+    column (one amplitude of b) at a time, along a, in chunks of _ROW_CHUNK
+    rows of a.
+    """
+    batch = a.shape[:-1] or b.shape[:-1]
+    rows, cols = a.shape[-1], b.shape[-1]
+    outer = np.empty(batch + (rows, cols), dtype=complex)
+    if cols <= _LINE and outer.size >= _COLUMN_ROWS * cols:
+        for start in range(0, rows, _ROW_CHUNK):
+            chunk = slice(start, start + _ROW_CHUNK)
+            for j in range(cols):
+                np.multiply(a[..., chunk], b[..., j : j + 1], out=outer[..., chunk, j])
+    else:
+        np.multiply(a[..., :, None], b[..., None, :], out=outer)
+    return outer.reshape(batch + (-1,))
+
+
 def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureState:
     """Apply a gate to the designated wires, identity on all others."""
     targets = tuple(targets)
@@ -237,8 +270,17 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
         raise StateError(f"gate acts on {gate.arity} wires, got {k} targets")
     n = state.n_wires
     batch = state.amps.shape[:-1]
-    src = _wire_view(state, targets, state.amps, "target")
     out = np.empty(state.amps.shape, dtype=complex)
+    if gate.monomial is not None:
+        # a phased permutation: each slice of the result (target bits fixed)
+        # is one slice of the input times an entry, one read and one write
+        # per amplitude, with no transpose
+        shape, slices = _slice_plan(n, _positions(state, targets, "target"), len(batch))
+        src, dst = state.amps.reshape(shape), out.reshape(shape)
+        for row, col, entry in gate.monomial:
+            _move(src[slices[col]], entry, dst[slices[row]])
+        return PureState._adopt(state.wires, out)
+    src = _wire_view(state, targets, state.amps, "target")
     dst = _wire_view(state, targets, out, "target")
     # One block for each value of the other wires but the last `inner`, and
     # for a batch, for each run of elements that fills a block: the gate times
@@ -266,16 +308,20 @@ def _wire_view(state: PureState, wires: tuple[str, ...], amps: np.ndarray, role:
     the other wires in state order. A repeated or unknown wire raises
     WireError; `role` names the wires in the first message.
     """
+    batch = amps.shape[:-1]
+    plan = _axis_plan(state.n_wires, _positions(state, wires, role), len(batch))
+    return amps.reshape(batch + (2,) * state.n_wires).transpose(plan)
+
+
+def _positions(state: PureState, wires: tuple[str, ...], role: str) -> tuple[int, ...]:
+    """The positions of `wires` in `state`; a repeated or unknown wire raises WireError."""
     if len(set(wires)) != len(wires):
         raise WireError(f"repeated {role} wire in {wires}")
     try:
-        front = tuple(map(state.wires.index, wires))
+        return tuple(map(state.wires.index, wires))
     except ValueError:
         missing = [w for w in wires if w not in state.wires]
         raise WireError(f"unknown wire(s) {missing}") from None
-    batch = amps.shape[:-1]
-    plan = _axis_plan(state.n_wires, front, len(batch))
-    return amps.reshape(batch + (2,) * state.n_wires).transpose(plan)
 
 
 # bounded: a long program's random target choices would otherwise grow it for
@@ -285,6 +331,46 @@ def _axis_plan(n: int, front: tuple[int, ...], batch_rank: int) -> tuple[int, ..
     """The transpose _wire_view takes for the wire positions `front`."""
     rest = tuple(i for i in range(n) if i not in front)
     return tuple(range(batch_rank)) + tuple(batch_rank + i for i in front + rest)
+
+
+@lru_cache(maxsize=4096)
+def _slice_plan(n: int, targets: tuple[int, ...], batch_rank: int) -> tuple[tuple, tuple]:
+    """The view and slice indices apply moves a phased permutation by.
+
+    The view keeps the natural layout: a batch axis, then one axis of 2 per
+    target and one axis per run of other wires between them. Entry i of the
+    indices picks the slice whose target bits spell i, first target most
+    significant.
+    """
+    shape: list[int] = [-1] * batch_rank
+    axis = {}
+    after = 0  # the position after the last target placed
+    for p in sorted(targets):
+        if p > after:
+            shape.append(1 << (p - after))
+        axis[p] = len(shape)
+        shape.append(2)
+        after = p + 1
+    if n > after:
+        shape.append(1 << (n - after))
+    slices = []
+    for bits in itertools.product((0, 1), repeat=len(targets)):
+        index: list = [slice(None)] * len(shape)
+        for p, b in zip(targets, bits):
+            index[axis[p]] = b
+        # the trailing Ellipsis keeps a slice of single amplitudes a view
+        slices.append(tuple(index) + (Ellipsis,))
+    return tuple(shape), tuple(slices)
+
+
+def _move(src: np.ndarray, entry: complex, dst: np.ndarray) -> None:
+    """dst = entry * src; for an entry of 1 or -1 a zero is +0, as a block product's sum is."""
+    if entry == 1:
+        np.add(src, 0.0, out=dst)
+    elif entry == -1:
+        np.subtract(0.0, src, out=dst)
+    else:
+        np.multiply(src, entry, out=dst)
 
 
 def inner_product(s1: PureState, s2: PureState) -> complex:
@@ -456,49 +542,79 @@ def schmidt_factor(
     left_wires = tuple(w for w in state.wires if w in cut.left)
     right_wires = tuple(w for w in state.wires if w in cut.right)
     batch = state.amps.shape[:-1]
-    arr = _wire_view(state, left_wires, scaled, "cut")
-    mat = arr.reshape(batch + (1 << len(left_wires), 1 << len(right_wires)))
-    # The SVD runs on the tall orientation cut to at most one block of rows,
-    # which keeps the singular values and right singular vectors. QR is
-    # backward-stable, so the rank test keeps its meaning (a Gram matrix
-    # would square the tolerance).
-    tall = mat if mat.shape[-2] >= mat.shape[-1] else mat.swapaxes(-1, -2)
-    _, sv, vh = np.linalg.svd(_reduce_rows(tall), full_matrices=False)
+    # The SVD runs on the tall orientation of the cut matrix, cut to at most
+    # one block of rows, which keeps the singular values and right singular
+    # vectors. QR is backward-stable, so the rank test keeps its meaning (a
+    # Gram matrix would square the tolerance).
+    flip = len(left_wires) < len(right_wires)
+    tall_wires = right_wires if flip else left_wires
+    rows, cols = 1 << len(tall_wires), 1 << (state.n_wires - len(tall_wires))
+    block = max(2 * cols, _GEMV_BLOCK // cols)
+    if rows > block:
+        blocks = _row_blocks(state, scaled, tall_wires, block, cols)
+    else:
+        # One block, so no QR. The SVD and the product read the matrix
+        # gathered with the left wires first, as they always have: BLAS sums
+        # the product in an order that follows the operand's layout.
+        mat = _wire_view(state, left_wires, scaled, "cut").reshape(
+            batch + (1 << len(left_wires), 1 << len(right_wires))
+        )
+        blocks = mat.swapaxes(-1, -2) if flip else mat
+    _, sv, vh = np.linalg.svd(_reduce_rows(blocks, len(batch)), full_matrices=False)
     rank = (sv > tol * sv[..., :1]).sum(-1)
     if not _all(rank == 1):
         return _per_state(rank), None
     small = vh[..., 0, :]
     # row blocks, each one BLAS call below _GEMV_BLOCK
-    rows, cols = tall.shape[-2:]
     step = min(rows, max(1, _GEMV_BLOCK // cols))
-    blocks = np.reshape(tall, batch + (-1, step, cols))
-    big = np.matmul(blocks, small.conj()[..., None, :, None]).reshape(batch + (rows,))
+    stack = blocks.shape[len(batch) : -2]
+    steps = blocks.reshape(batch + stack + (-1, step, cols))
+    conj = small.conj().reshape(batch + (1,) * (len(stack) + 1) + (cols, 1))
+    big = np.matmul(steps, conj).reshape(batch + (rows,))
     if not _all(shift == 0):
         big = _ldexp(big, -shift[..., None])
-    # mat == outer(big, small) when tall is mat, and outer(small, big) when it is
-    # mat transposed
-    left, right = (big, small) if tall is mat else (small, big)
+    # the cut matrix is outer(big, small) with the tall side first, and
+    # outer(small, big) when the left side is the short one
+    left, right = (small, big) if flip else (big, small)
     return _per_state(rank), (
         PureState._adopt(left_wires, left),
         PureState._adopt(right_wires, right),
     )
 
 
-def _reduce_rows(tall: np.ndarray) -> np.ndarray:
-    """A tall matrix cut to at most one row block by Householder QR (TSQR).
+def _row_blocks(state: PureState, amps: np.ndarray, tall: tuple[str, ...], block: int, cols: int):
+    """The cut matrix with `tall`'s wires as rows, as a stack of row blocks.
+
+    `amps` is laid out as `state`'s. The result has shape (batch..., 2, ...,
+    2, block, cols): one axis per wire of `tall` above the last log2(block),
+    in state order, then a block's rows and the columns, over the other
+    wires in state order. Where a block's row wires lie next to one another
+    in the layout, and so do the column wires, it is a view of `amps`;
+    elsewhere numpy gathers the whole matrix, once.
+    """
+    top = len(tall) - (block.bit_length() - 1)
+    view = _wire_view(state, tall, amps, "cut")
+    return view.reshape(view.shape[: view.ndim - state.n_wires + top] + (block, cols))
+
+
+def _reduce_rows(blocks: np.ndarray, batch_rank: int) -> np.ndarray:
+    """A tall matrix, given as a stack of row blocks, cut to one block by Householder QR (TSQR).
 
     Stacking the R factors of the row blocks gives a matrix with the same
     singular values and right singular vectors as the whole. Each block's QR
     stays below _GEMV_BLOCK, in cache and on one thread; the reduction
-    repeats until one block is left. It is backward-stable like a plain QR.
+    repeats on the stacked R factors, in blocks of the same size, until one
+    block is left. It is backward-stable like a plain QR. The first level
+    reads `blocks` as they are, views of the state's amplitudes or not.
     """
-    batch = tall.shape[:-2]
-    rows, cols = tall.shape[-2:]
-    block = max(2 * cols, _GEMV_BLOCK // cols)
-    while rows > block:
-        stacked = np.linalg.qr(np.reshape(tall, batch + (rows // block, block, cols)), mode="r")
-        tall = stacked.reshape(batch + (-1, cols))
+    batch = blocks.shape[:batch_rank]
+    block, cols = blocks.shape[-2:]
+    tall = blocks
+    while tall.ndim > batch_rank + 2:
+        tall = np.linalg.qr(tall, mode="r").reshape(batch + (-1, cols))
         rows = tall.shape[-2]
+        if rows > block:
+            tall = tall.reshape(batch + (rows // block, block, cols))
     return tall
 
 
@@ -537,6 +653,8 @@ def branch_decompose(
     order). Branches with weight <= tol are omitted; the emitted weights sum
     to 1 up to that same omission.
     """
+    if state.amps.ndim != 1:
+        raise StateError("branch_decompose takes a single state, not a batch")
     pointer = tuple(pointer)
     if not pointer:
         raise WireError("pointer wire list is empty")

@@ -115,6 +115,19 @@ def test_gate_matrix_is_frozen():
         g.matrix[0, 0] = 9.0
 
 
+def test_signed_permutations_list_their_entries_and_dense_gates_do_not(rng):
+    assert sigma(1, 0).monomial == ((0, 1, 1.0), (1, 0, -1.0))
+    for gate in (cu_sigma(), u_b_decoder(), UnitaryGate(2, np.eye(4)[[2, 0, 3, 1]] * 1j)):
+        rows = [row for row, _, _ in gate.monomial]
+        cols = sorted(col for _, col, _ in gate.monomial)
+        assert rows == cols == list(range(1 << gate.arity))
+        for row, col, entry in gate.monomial:
+            assert gate.matrix[row, col] == entry
+    assert u_b_decoder().monomial[3] == (3, 2, -1.0)  # |011> -> -|010>
+    assert cu_meas().monomial is None
+    assert UnitaryGate(1, random_unitary(rng, 2)).monomial is None
+
+
 # ----------------------------------------------------------- control_unitary
 
 

@@ -1,19 +1,23 @@
-"""Property tests: random circuit programs and random tensor factors.
+"""Property tests: random circuit programs, tensor factors and kernel inputs.
 
 The programs are drawn with amplitudes from 1e-150 to 1e150, so products of
-a few inits reach past both ends of the float range. Every test runs the
-same examples on every run (`derandomize`).
+a few inits reach past both ends of the float range. The kernels `apply`
+and `schmidt_factor` are checked against reference versions kept here,
+bit for bit where their results must not change. Every test runs the same
+examples on every run (`derandomize`).
 """
 
 import contextlib
 import io
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import random_unitary
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from everettsim import cli
+from everettsim import cli, state
 from everettsim.circuit import (
     GATES,
     CircuitError,
@@ -21,13 +25,23 @@ from everettsim.circuit import (
     exec_circuit,
     parse_circuit,
 )
+from everettsim.gates import UnitaryGate
 from everettsim.protocols import ProtocolError
 from everettsim.render import render_ascii
-from everettsim.state import PureState, StateError, tensor
+from everettsim.state import (
+    Bipartition,
+    PureState,
+    StateError,
+    apply,
+    fidelity,
+    schmidt_factor,
+    tensor,
+)
 
-# fixed examples, few enough that this file runs in about two seconds
+# fixed examples, few enough that this file runs in a few seconds
 PROGRAMS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 FACTORS = settings(PROGRAMS, max_examples=40)
+KERNELS = settings(PROGRAMS, max_examples=150)
 
 AGENTS = st.sampled_from(("Alice", "Bob"))
 BITS = st.sampled_from((0, 1))
@@ -143,3 +157,221 @@ def test_tensor_matches_kron_bit_for_bit(left_batch, right_batch, data):
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
     assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+@pytest.mark.parametrize("left_shape,right_shape", [
+    ((1 << 15,), (2,)),  # several row chunks of the column-wise product
+    ((1 << 15,), (4,)),
+    ((1 << 15,), (8,)),  # a broadcast: b spans two cache lines
+    ((2,), (1 << 15,)),
+    ((3, 1 << 10), (4,)),  # the rows of a batch count together
+    ((4,), (600, 2)),
+])
+def test_tensor_of_a_long_and_a_short_factor_matches_kron(left_shape, right_shape):
+    rng = np.random.default_rng(len(left_shape) + right_shape[-1])
+    left, right = (
+        PureState(tuple(f"{name}{i}" for i in range(shape[-1].bit_length() - 1)), kernel_amps(rng, shape))
+        for name, shape in (("a", left_shape), ("b", right_shape))
+    )
+    got = tensor(left, right).amps
+    want = np.kron(left.amps[..., None, :], right.amps[..., None, :])[..., 0, :]
+    assert np.array_equal(bits(got), bits(want))
+
+
+# ------------------------------------------------------------------ kernels
+
+
+def reference_apply(gate, targets, s):
+    """`apply` as one dense block product for every gate, the oracle for the slice path.
+
+    This is `state.apply` as it ran before gates that permute basis states
+    moved slices; it returns the result's amplitudes.
+    """
+    targets = tuple(targets)
+    k = len(targets)
+    n = s.n_wires
+    batch = s.amps.shape[:-1]
+    src = state._wire_view(s, targets, s.amps, "target")
+    out = np.empty(s.amps.shape, dtype=complex)
+    dst = state._wire_view(s, targets, out, "target")
+    columns = state._GEMM_BLOCK // gate.matrix.size
+    inner = min(n - k, max(0, columns.bit_length() - 1))
+    run = max(1, columns >> (n - k))
+    runs = [(slice(i, i + run),) for i in range(0, batch[0], run)] if batch else [()]
+    every_target = (slice(None),) * k
+    for elements in runs:
+        for idx in itertools.product((0, 1), repeat=n - k - inner):
+            key = elements + every_target + idx
+            block = dst[key]
+            shape = block.shape[: len(batch)] + (1 << k, -1)
+            block[...] = (gate.matrix @ src[key].reshape(shape)).reshape(block.shape)
+    return out
+
+
+def reference_schmidt_factor(s, cut, tol=state.DEFAULT_TOL):
+    """`schmidt_factor` as it ran while it gathered the whole cut matrix first.
+
+    The oracle for states of at most 11 wires, whose matrix is one row block.
+    """
+    scaled, norm_sq, shift = state._in_range(s)
+    left_wires = tuple(w for w in s.wires if w in cut.left)
+    right_wires = tuple(w for w in s.wires if w in cut.right)
+    batch = s.amps.shape[:-1]
+    arr = state._wire_view(s, left_wires, scaled, "cut")
+    mat = arr.reshape(batch + (1 << len(left_wires), 1 << len(right_wires)))
+    tall = mat if mat.shape[-2] >= mat.shape[-1] else mat.swapaxes(-1, -2)
+    assert tall.shape[-2] <= max(2 * tall.shape[-1], state._GEMV_BLOCK // tall.shape[-1])
+    _, sv, vh = np.linalg.svd(tall, full_matrices=False)
+    rank = (sv > tol * sv[..., :1]).sum(-1)
+    if not state._all(rank == 1):
+        return state._per_state(rank), None
+    small = vh[..., 0, :]
+    rows, cols = tall.shape[-2:]
+    step = min(rows, max(1, state._GEMV_BLOCK // cols))
+    blocks = np.reshape(tall, batch + (-1, step, cols))
+    big = np.matmul(blocks, small.conj()[..., None, :, None]).reshape(batch + (rows,))
+    if not state._all(shift == 0):
+        big = state._ldexp(big, -shift[..., None])
+    left, right = (big, small) if tall is mat else (small, big)
+    return state._per_state(rank), (left, right)
+
+
+def kernel_amps(rng, shape):
+    """Parts that are a signed zero (one in four) or a signed 10**u, u from -150 to 150."""
+    amps = np.empty(shape, dtype=complex)
+    for part in (amps.real, amps.imag):
+        sign = rng.choice((-1.0, 1.0), size=shape)
+        part[...] = sign * 10.0 ** rng.uniform(-150, 150, size=shape)
+        zero = rng.random(shape) < 0.25
+        part[zero] = sign[zero] * 0.0
+    return amps
+
+
+def kernel_gate(name, rng):
+    """A gate of GATES, a random dense unitary, or a permutation with random phases."""
+    if name in GATES:
+        return GATES[name].build()
+    k = int(rng.integers(1, 5))
+    if name == "dense":
+        return UnitaryGate(k, random_unitary(rng, 1 << k))
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << k))
+    return UnitaryGate(k, np.eye(1 << k)[rng.permutation(1 << k)] * phases[:, None])
+
+
+def bits(a):
+    return a.view(np.uint64)
+
+
+def assert_apply_matches_reference(gate, targets, s):
+    got = apply(gate, targets, s).amps
+    want = reference_apply(gate, targets, s)
+    if gate.monomial is None:
+        # the same block product
+        assert np.array_equal(bits(got), bits(want))
+    elif all(entry in (1, -1) for _, _, entry in gate.monomial):
+        # An exact product, so every nonzero part keeps its bits, and a zero
+        # one is +0 as a block product's sum of zeros is. OpenBLAS's kernel
+        # for a block of two columns (one wire besides the targets) is the
+        # exception: it may return -0 there.
+        got_parts, want_parts = bits(got.view(np.float64)), bits(want.view(np.float64))
+        nonzero = want.view(np.float64) != 0
+        assert np.array_equal(got_parts[nonzero], want_parts[nonzero])
+        assert not got_parts[~nonzero].any()
+        if s.n_wires - gate.arity != 1:
+            assert np.array_equal(bits(got), bits(want))
+    else:
+        # a phase is one complex product against a sum of products
+        assert (np.abs(got - want) <= 2 * np.spacing(np.abs(want))).all()
+
+
+@KERNELS
+@given(
+    name=st.sampled_from(sorted(GATES) + ["dense", "phased"]),
+    n=st.integers(1, 12),
+    size=st.sampled_from((0, 1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_matches_the_block_product(name, n, size, seed):
+    rng = np.random.default_rng(seed)
+    gate = kernel_gate(name, rng)
+    assume(gate.arity <= n)
+    wires = tuple(f"w{i}" for i in range(n))
+    s = PureState(wires, kernel_amps(rng, (size,) * (size > 0) + (1 << n,)))
+    assert_apply_matches_reference(gate, tuple(rng.permutation(wires)[: gate.arity]), s)
+
+
+@pytest.fixture(scope="module")
+def wide_state():
+    wires = tuple(f"w{i}" for i in range(20))
+    return PureState(wires, kernel_amps(np.random.default_rng(20), 1 << 20))
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_apply_matches_the_block_product_at_20_wires(wide_state, name):
+    gate = GATES[name].build()
+    targets = tuple(np.random.default_rng(sorted(GATES).index(name)).permutation(wide_state.wires))
+    assert_apply_matches_reference(gate, targets[: gate.arity], wide_state)
+
+
+def product_on_cut(rng, n, right, rank):
+    """A sum of `rank` products across (the other wires | `right`), with one of its terms.
+
+    Returns the state over w0..w(n-1) and the two factors of its first term,
+    on the other wires and on `right`, each over its wires in state order.
+    """
+    wires = tuple(f"w{i}" for i in range(n))
+    left = tuple(w for w in wires if w not in right)
+    right = tuple(w for w in wires if w in right)
+    terms = []
+    for _ in range(rank):
+        a = rng.standard_normal(1 << len(left)) + 1j * rng.standard_normal(1 << len(left))
+        b = rng.standard_normal(1 << len(right)) + 1j * rng.standard_normal(1 << len(right))
+        terms.append((a, b))
+    joint = sum(np.multiply.outer(a, b) for a, b in terms).reshape((2,) * n)
+    # axes in left + right order, back to state order
+    order = [(left + right).index(w) for w in wires]
+    amps = joint.transpose(order).reshape(-1)
+    return PureState(wires, amps), PureState(left, terms[0][0]), PureState(right, terms[0][1])
+
+
+@KERNELS
+@given(n=st.integers(2, 11), rank=st.sampled_from((1, 1, 2)), size=st.sampled_from((0, 3)),
+       scale=st.sampled_from((1.0, 1e-200, 1e200)), seed=st.integers(0, 2**32 - 1))
+def test_schmidt_factor_of_one_row_block_keeps_its_bits(n, rank, size, scale, seed):
+    rng = np.random.default_rng(seed)
+    wires = tuple(f"w{i}" for i in range(n))
+    right = frozenset(rng.permutation(wires)[: int(rng.integers(1, n))])
+    elements = [product_on_cut(rng, n, right, rank)[0].amps for _ in range(max(size, 1))]
+    s = PureState(wires, np.array(elements if size else elements[0]) * scale)
+    cut = Bipartition(frozenset(wires) - right, right)
+    got_rank, got = schmidt_factor(s, cut)
+    want_rank, want = reference_schmidt_factor(s, cut)
+    assert np.array_equal(got_rank, want_rank)
+    assert (got is None) == (want is None)
+    if got is not None:
+        for factor, amps in zip(got, want):
+            assert np.array_equal(bits(factor.amps), bits(amps))
+
+
+@settings(KERNELS, max_examples=30)
+@given(n=st.integers(12, 16), rank=st.sampled_from((1, 1, 2)), small_left=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_schmidt_factor_across_any_cut_of_a_wide_state(n, rank, small_left, seed):
+    rng = np.random.default_rng(seed)
+    wires = tuple(f"w{i}" for i in range(n))
+    small = frozenset(rng.permutation(wires)[: int(rng.integers(1, n // 2 + 1))])
+    s, big_factor, small_factor = product_on_cut(rng, n, small, rank)
+    rest = frozenset(wires) - small
+    cut = Bipartition(small, rest) if small_left else Bipartition(rest, small)
+    left, right = (small_factor, big_factor) if small_left else (big_factor, small_factor)
+    got_rank, factors = schmidt_factor(s, cut)
+    # the rank an SVD of the whole gathered matrix gives
+    front = [i for i, w in enumerate(wires) if w not in small]
+    back = [i for i, w in enumerate(wires) if w in small]
+    mat = s.amps.reshape((2,) * n).transpose(front + back).reshape(1 << len(front), -1)
+    sv = np.linalg.svd(mat, compute_uv=False)
+    assert got_rank == rank == (sv > state.DEFAULT_TOL * sv[0]).sum()
+    if rank == 1:
+        assert fidelity(factors[0], left) >= 1 - 1e-12
+        assert fidelity(factors[1], right) >= 1 - 1e-12
+        assert factors[0].wires == left.wires and factors[1].wires == right.wires

@@ -587,6 +587,13 @@ def test_branch_decompose_rejects_bad_pointers(rng):
         branch_decompose(s, ("z",))
 
 
+@pytest.mark.parametrize("amp0,amp1", [([1, 0.6], [0, 0.8]), ([0.6], [0.8])])
+def test_branch_decompose_refuses_a_batch(amp0, amp1):
+    # a batch of one is a batch too
+    with pytest.raises(StateError, match="takes a single state, not a batch"):
+        branch_decompose(qubit("a", amp0, amp1), ("a",))
+
+
 # -------------------------------------------------------------------- dump
 
 
