@@ -7,10 +7,10 @@ equality checks are up to a complex scale, and probabilities are computed on
 normalized copies.
 
 A state may also be a batch: amplitudes of shape (B, 2^n), one state per
-row, all over the same wires. The kernels (``apply``, the squared norms,
-``norm_drift``, ``equal_up_to_phase``, ``fidelity``, ``schmidt_factor``)
-work along the last axis, so one code path serves a single state and a
-batch, and return one value per element for a batch.
+row, all over the same wires. The kernels (``apply``, ``permute_wires``,
+the squared norms, ``norm_drift``, ``equal_up_to_phase``, ``fidelity``,
+``schmidt_factor``) work along the last axis, so one code path serves a
+single state and a batch, and return one value per element for a batch.
 
 Everything here is an immutable value and every operation is a pure function,
 so states can be shared freely between threads.
@@ -45,8 +45,10 @@ _NORM_SQ_RANGE = (2.0**-400, 2.0**400)
 # elements in a dot product. A threaded call returns only when every worker
 # has been scheduled, so its time follows the load on the other cores: on a
 # 2-core x86-64 VM one product of a 2x2 gate with 2**14 columns took 320 us
-# threaded, against 80 us as two one-thread halves. The kernels keep each
-# BLAS call below these sizes.
+# threaded, against 80 us as two one-thread halves, and one np.vdot over
+# 2**20 amplitudes took 0.60 ms at the 95th percentile idle and 5.1 ms next
+# to a busy loop on the other core, where _sum_sq's blocked sum took 0.97
+# and 2.1 ms. The kernels keep each BLAS call below these sizes.
 _GEMM_BLOCK = 1 << 15
 _GEMV_BLOCK = 1 << 11
 _DOT_BLOCK = 1 << 13
@@ -247,7 +249,8 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a few amplitudes. A b that fits in one cache line, in a product of at
     least _COLUMN_ROWS rows (counted over a batch), is therefore written one
     column (one amplitude of b) at a time, along a, in chunks of _ROW_CHUNK
-    rows of a.
+    rows of a: on a 2-core x86-64 VM a 2**19 x 2 product took 5.7 ms
+    broadcast and 1.7 ms by columns.
     """
     batch = a.shape[:-1] or b.shape[:-1]
     rows, cols = a.shape[-1], b.shape[-1]
@@ -263,7 +266,19 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureState:
-    """Apply a gate to the designated wires, identity on all others."""
+    """Apply a gate to the designated wires, identity on all others.
+
+    The gate's matrix alone picks the path, the same for a single state and
+    a batch at every width. A phased permutation (``gate.monomial``) moves
+    slices: each of the 2**k slices of a fresh result with the target bits
+    fixed is one slice of the input times an entry (``_move``), one numpy
+    call with one read and one write per amplitude, no transpose and no
+    BLAS call. Any other matrix runs as a block product on ``_wire_view``'s
+    views of the input and the result: one block for each value of the
+    other wires but the last ``inner``, holding every element of a batch,
+    is multiplied by the matrix in one BLAS call per element, each below
+    _GEMM_BLOCK, and written straight into the result.
+    """
     targets = tuple(targets)
     k = len(targets)
     if gate.arity != k:
@@ -272,9 +287,6 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
     batch = state.amps.shape[:-1]
     out = np.empty(state.amps.shape, dtype=complex)
     if gate.monomial is not None:
-        # a phased permutation: each slice of the result (target bits fixed)
-        # is one slice of the input times an entry, one read and one write
-        # per amplitude, with no transpose
         shape, slices = _slice_plan(n, _positions(state, targets, "target"), len(batch))
         src, dst = state.amps.reshape(shape), out.reshape(shape)
         for row, col, entry in gate.monomial:
@@ -282,22 +294,13 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
         return PureState._adopt(state.wires, out)
     src = _wire_view(state, targets, state.amps, "target")
     dst = _wire_view(state, targets, out, "target")
-    # One block for each value of the other wires but the last `inner`, and
-    # for a batch, for each run of elements that fills a block: the gate times
-    # each element's 2**k x 2**inner amplitudes, one BLAS call below
-    # _GEMM_BLOCK, written straight into the result. No vector-sized
-    # temporary is made.
     columns = _GEMM_BLOCK // gate.matrix.size
     inner = min(n - k, max(0, columns.bit_length() - 1))
-    run = max(1, columns >> (n - k))
-    runs = [(slice(i, i + run),) for i in range(0, batch[0], run)] if batch else [()]
-    every_target = (slice(None),) * k
-    for elements in runs:
-        for idx in itertools.product((0, 1), repeat=n - k - inner):
-            key = elements + every_target + idx
-            block = dst[key]
-            shape = block.shape[: len(batch)] + (1 << k, -1)
-            block[...] = (gate.matrix @ src[key].reshape(shape)).reshape(block.shape)
+    every = (slice(None),) * (len(batch) + k)
+    for idx in itertools.product((0, 1), repeat=n - k - inner):
+        block = dst[every + idx]
+        shape = block.shape[: len(batch)] + (1 << k, -1)
+        block[...] = (gate.matrix @ src[every + idx].reshape(shape)).reshape(block.shape)
     return PureState._adopt(state.wires, out)
 
 
@@ -495,13 +498,12 @@ def norm_drift(before: PureState, after: PureState) -> float | np.ndarray:
 
 
 def permute_wires(state: PureState, new_order: Sequence[str]) -> PureState:
-    """Same state with wires listed in a different order."""
+    """Same state with wires listed in a different order; each element's for a batch."""
     new_order = tuple(new_order)
     if sorted(new_order) != sorted(state.wires):
         raise WireError(f"{new_order} is not a permutation of {state.wires}")
-    positions = [state.wires.index(w) for w in new_order]
-    arr = state.amps.reshape((2,) * state.n_wires).transpose(positions)
-    return PureState._adopt(new_order, arr.reshape(-1))
+    view = _wire_view(state, new_order, state.amps, "reordered")
+    return PureState._adopt(new_order, view.reshape(state.amps.shape[:-1] + (-1,)))
 
 
 @dataclass(frozen=True)
@@ -533,6 +535,14 @@ def schmidt_factor(
 
     For a batch the rank holds one value per element, from one batched SVD,
     and the factors are batches, returned only when every rank is 1.
+
+    The SVD reads the tall side's row blocks cut to one block by TSQR
+    (``_row_blocks``, ``_reduce_rows``), and the large factor is the tall
+    matrix times the small one, in row blocks. Those are the same blocks, in
+    the same order, wherever the cut's wires sit, so the rank and the small
+    factor do not depend on the layout. The large factor may differ in its
+    last bits: BLAS sums the product in an order that follows the operand's
+    layout, a view of the amplitudes or a gather.
     """
     if set(cut.left) | set(cut.right) != set(state.wires):
         raise WireError("cut does not cover exactly the state's wires")
@@ -542,35 +552,24 @@ def schmidt_factor(
     left_wires = tuple(w for w in state.wires if w in cut.left)
     right_wires = tuple(w for w in state.wires if w in cut.right)
     batch = state.amps.shape[:-1]
-    # The SVD runs on the tall orientation of the cut matrix, cut to at most
-    # one block of rows, which keeps the singular values and right singular
+    # The SVD runs on the tall orientation of the cut matrix, cut to one
+    # block of rows, which keeps the singular values and right singular
     # vectors. QR is backward-stable, so the rank test keeps its meaning (a
     # Gram matrix would square the tolerance).
     flip = len(left_wires) < len(right_wires)
-    tall_wires = right_wires if flip else left_wires
-    rows, cols = 1 << len(tall_wires), 1 << (state.n_wires - len(tall_wires))
-    block = max(2 * cols, _GEMV_BLOCK // cols)
-    if rows > block:
-        blocks = _row_blocks(state, scaled, tall_wires, block, cols)
-    else:
-        # One block, so no QR. The SVD and the product read the matrix
-        # gathered with the left wires first, as they always have: BLAS sums
-        # the product in an order that follows the operand's layout.
-        mat = _wire_view(state, left_wires, scaled, "cut").reshape(
-            batch + (1 << len(left_wires), 1 << len(right_wires))
-        )
-        blocks = mat.swapaxes(-1, -2) if flip else mat
+    blocks = _row_blocks(state, scaled, right_wires if flip else left_wires)
     _, sv, vh = np.linalg.svd(_reduce_rows(blocks, len(batch)), full_matrices=False)
     rank = (sv > tol * sv[..., :1]).sum(-1)
     if not _all(rank == 1):
         return _per_state(rank), None
     small = vh[..., 0, :]
-    # row blocks, each one BLAS call below _GEMV_BLOCK
-    step = min(rows, max(1, _GEMV_BLOCK // cols))
+    # the large factor by row blocks, each one BLAS call below _GEMV_BLOCK
+    block, cols = blocks.shape[-2:]
+    step = min(block, max(1, _GEMV_BLOCK // cols))
     stack = blocks.shape[len(batch) : -2]
     steps = blocks.reshape(batch + stack + (-1, step, cols))
     conj = small.conj().reshape(batch + (1,) * (len(stack) + 1) + (cols, 1))
-    big = np.matmul(steps, conj).reshape(batch + (rows,))
+    big = np.matmul(steps, conj).reshape(batch + (-1,))
     if not _all(shift == 0):
         big = _ldexp(big, -shift[..., None])
     # the cut matrix is outer(big, small) with the tall side first, and
@@ -582,16 +581,21 @@ def schmidt_factor(
     )
 
 
-def _row_blocks(state: PureState, amps: np.ndarray, tall: tuple[str, ...], block: int, cols: int):
+def _row_blocks(state: PureState, amps: np.ndarray, tall: tuple[str, ...]) -> np.ndarray:
     """The cut matrix with `tall`'s wires as rows, as a stack of row blocks.
 
     `amps` is laid out as `state`'s. The result has shape (batch..., 2, ...,
     2, block, cols): one axis per wire of `tall` above the last log2(block),
     in state order, then a block's rows and the columns, over the other
-    wires in state order. Where a block's row wires lie next to one another
-    in the layout, and so do the column wires, it is a view of `amps`;
-    elsewhere numpy gathers the whole matrix, once.
+    wires in state order. A block has max(2 * cols, _GEMV_BLOCK // cols)
+    rows, or every row when there are fewer: the whole matrix of a state of
+    at most 11 wires. Where a block's row wires lie next to one another in
+    the layout, and so do the column wires, it is a view of `amps`, as for a
+    one-wire short side at the end of a 20-wire state or with at least 10
+    wires after it; elsewhere numpy gathers the whole matrix, once.
     """
+    rows, cols = 1 << len(tall), 1 << (state.n_wires - len(tall))
+    block = min(rows, max(2 * cols, _GEMV_BLOCK // cols))
     top = len(tall) - (block.bit_length() - 1)
     view = _wire_view(state, tall, amps, "cut")
     return view.reshape(view.shape[: view.ndim - state.n_wires + top] + (block, cols))
@@ -605,17 +609,17 @@ def _reduce_rows(blocks: np.ndarray, batch_rank: int) -> np.ndarray:
     stays below _GEMV_BLOCK, in cache and on one thread; the reduction
     repeats on the stacked R factors, in blocks of the same size, until one
     block is left. It is backward-stable like a plain QR. The first level
-    reads `blocks` as they are, views of the state's amplitudes or not.
+    reads `blocks` as they are, views of the state's amplitudes or not. A
+    matrix of one block, with no stack axes, is returned as it is.
     """
     batch = blocks.shape[:batch_rank]
     block, cols = blocks.shape[-2:]
-    tall = blocks
-    while tall.ndim > batch_rank + 2:
-        tall = np.linalg.qr(tall, mode="r").reshape(batch + (-1, cols))
-        rows = tall.shape[-2]
+    while blocks.ndim > batch_rank + 2:
+        blocks = np.linalg.qr(blocks, mode="r").reshape(batch + (-1, cols))
+        rows = blocks.shape[-2]
         if rows > block:
-            tall = tall.reshape(batch + (rows // block, block, cols))
-    return tall
+            blocks = blocks.reshape(batch + (rows // block, block, cols))
+    return blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -677,7 +681,12 @@ def branch_decompose(
 
 
 def dump_state(state: PureState) -> str:
-    """Line format: a wire header, then one `<bits> <re> <im>` line per nonzero amplitude."""
+    """Line format: a wire header, then one `<bits> <re> <im>` line per nonzero amplitude.
+
+    A batch is refused with StateError: it has no one line per basis state.
+    """
+    if state.amps.ndim != 1:
+        raise StateError("dump_state takes a single state, not a batch")
     lines = ["wires: " + " ".join(state.wires)]
     n = state.n_wires
     for idx, amp in enumerate(state.amps):

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import traced_peak
 
+import everettsim
 from everettsim import cli, fixtures, gates
 from everettsim.circuit import GATES, superdense_source
 from everettsim.cli import main
@@ -242,6 +246,18 @@ def test_verify_output_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
     assert out == (GOLDEN / "verify.txt").read_text(encoding="utf-8")
+
+
+def test_python_m_everettsim_verify_matches_golden():
+    # a fresh interpreter, importing the package this suite imports
+    src = str(Path(everettsim.__file__).parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-m", "everettsim", "verify"], capture_output=True, text=True, env=env
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (GOLDEN / "verify.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("alpha,beta,bob", [

@@ -472,7 +472,7 @@ def test_tensor_pairs_each_row_of_one_batch_with_single_states(rng):
 
 
 @pytest.mark.parametrize("n,size,targets", [
-    (6, 300, ("w4", "w0", "w2")),  # the batch split into runs of elements
+    (6, 300, ("w4", "w0", "w2")),  # one block holding the whole batch
     (14, 3, ("w9", "w3", "w13", "w0")),  # per element, blocks over the middle wires
 ])
 def test_batched_kernels_agree_with_each_element(rng, n, size, targets):
@@ -585,6 +585,24 @@ def test_branch_decompose_rejects_bad_pointers(rng):
         branch_decompose(s, ("a", "a"))
     with pytest.raises(WireError):
         branch_decompose(s, ("z",))
+
+
+def test_permute_wires_reorders_each_element_of_a_batch(rng):
+    wires = ("a", "b", "c", "d")
+    batch = rand_batch(rng, wires, 5, scales=(1e-300, 1.0, 1e300))
+    order = ("c", "a", "d", "b")
+    got = permute_wires(batch, order)
+    assert got.wires == order and got.amps.shape == batch.amps.shape
+    for i in range(5):
+        want = permute_wires(batch.element(i), order).amps
+        assert np.array_equal(got.amps[i].view(np.uint64), want.view(np.uint64))
+    with pytest.raises(WireError, match="not a permutation"):
+        permute_wires(batch, ("c", "a", "d", "d"))
+
+
+def test_dump_state_refuses_a_batch(rng):
+    with pytest.raises(StateError, match="takes a single state, not a batch"):
+        dump_state(rand_batch(rng, ("a",), 2))
 
 
 @pytest.mark.parametrize("amp0,amp1", [([1, 0.6], [0, 0.8]), ([0.6], [0.8])])
