@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Union
 
 from . import protocols
@@ -56,10 +57,11 @@ class GateSpec(NamedTuple):
 
 
 GATES: dict[str, GateSpec] = {
-    "sigma00": GateSpec(lambda: sigma(0, 0), (), (0,), "σ00"),
-    "sigma01": GateSpec(lambda: sigma(0, 1), (), (0,), "σ01"),
-    "sigma10": GateSpec(lambda: sigma(1, 0), (), (0,), "σ10"),
-    "sigma11": GateSpec(lambda: sigma(1, 1), (), (0,), "σ11"),
+    **{
+        f"sigma{p}{q}": GateSpec(partial(sigma, p, q), (), (0,), f"σ{p}{q}")
+        for p in (0, 1)
+        for q in (0, 1)
+    },
     "cu_sigma": GateSpec(cu_sigma, (0, 1), (2,), "Uσ"),
     "cu_meas": GateSpec(cu_meas, (2, 3), (0, 1), "UM"),
     "u_b": GateSpec(u_b_decoder, (0, 1), (2,), "UB"),

@@ -12,22 +12,25 @@ see the same gates with both matrix axes reversed; ``reversed_convention_matrix`
 performs that translation. As a matrix in this package's convention,
 sigma(1,0) happens to equal iY; only the action rules matter to the protocols.
 
-Also here: the Bell-pair builder, generic basis-controlled unitaries, the
-two-qubit encoder controlled by two knowledge wires (``cu_sigma``), the
-Bell-basis measurement unitary that shifts a two-wire pointer by the outcome
-label (``cu_meas``), and the receiver's correction unitary (``u_b_decoder``).
+Each signed-permutation gate is built from its rule |bits> -> sign |out_bits>:
+``sigma``, the two-qubit encoder controlled by two knowledge wires
+(``cu_sigma``), and the receiver's correction unitary (``u_b_decoder``). The
+encoder's rule is written once, in ``_encode``, for both ``sigma`` and
+``cu_sigma``. Also here: the Bell-pair builder, and the Bell-basis measurement
+unitary that shifts a two-wire pointer by the outcome label (``cu_meas``),
+built from the Bell projectors.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .state import PureState
+from .state import PureState, _bit, _pack
 
 UNITARY_TOL = 1e-12
 
@@ -60,6 +63,8 @@ class UnitaryGate:
     )
 
     def __post_init__(self) -> None:
+        if not isinstance(self.arity, (int, np.integer)) or self.arity < 0:
+            raise GateError(f"arity must be an integer of at least 0, got {self.arity!r}")
         dim = 1 << self.arity
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
@@ -91,62 +96,38 @@ def reversed_convention_matrix(gate: UnitaryGate) -> np.ndarray:
     return gate.matrix[::-1, ::-1].copy()
 
 
-@dataclass(frozen=True, eq=False)
-class ControlSpec:
-    """A total mapping from control bit strings to equal-arity branch gates."""
-
-    control_arity: int
-    branch_gates: Mapping[tuple[int, ...], UnitaryGate] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.control_arity < 1:
-            raise GateError("need at least one control wire")
-        gates = dict(self.branch_gates)
-        expected = 1 << self.control_arity
-        if len(gates) != expected:
-            raise GateError(f"expected {expected} branch gates, got {len(gates)}")
-        arities = set()
-        for key, gate in gates.items():
-            if len(key) != self.control_arity or any(b not in _BITS for b in key):
-                raise GateError(f"bad control bit string {key!r}")
-            arities.add(gate.arity)
-        if len(arities) != 1:
-            raise GateError(f"branch gates must share one target arity, got {sorted(arities)}")
-        object.__setattr__(self, "branch_gates", gates)
-
-    @property
-    def target_arity(self) -> int:
-        return next(iter(self.branch_gates.values())).arity
+def _from_rule(arity: int, rule: Callable[..., tuple], name: str) -> UnitaryGate:
+    """The gate sending each basis ket |bits> to sign |out_bits>, (out_bits, sign) = rule(*bits)."""
+    mat = np.zeros((1 << arity, 1 << arity), dtype=complex)
+    for bits in itertools.product(_BITS, repeat=arity):
+        out_bits, sign = rule(*bits)
+        mat[_pack(out_bits, arity), _pack(bits, arity)] = sign
+    return UnitaryGate(arity, mat, name=name)
 
 
-def control_unitary(spec: ControlSpec, name: str = "") -> UnitaryGate:
-    """Block-diagonal gate |c>|t> -> |c> (branch_gates[c] |t>).
-
-    Control wires come first (most significant), targets last.
-    """
-    k, t = spec.control_arity, spec.target_arity
-    blocks = [spec.branch_gates[bits].matrix for bits in itertools.product(_BITS, repeat=k)]
-    # full[c, :, c, :] holds the c-th control bit string's block, first bit most significant
-    full = np.zeros((1 << k, 1 << t, 1 << k, 1 << t), dtype=complex)
-    full[range(1 << k), :, range(1 << k), :] = blocks
-    return UnitaryGate(k + t, full.reshape(1 << (k + t), -1), name=name)
+def _encode(p: int, q: int, x: int) -> tuple[tuple[int], int]:
+    """The encoder rule sigma(p,q)|0> = (-1)^p |p+q>, sigma(p,q)|1> = |p+q+1>, mod 2."""
+    return ((p + q + x) % 2,), (-1) ** (p * (1 - x))
 
 
-@lru_cache(maxsize=None)
+# typed: 1.0 == 1 and hash alike, so an untyped cache would hand a float bit
+# the gate built for the int instead of refusing it
+@lru_cache(maxsize=None, typed=True)
 def sigma(p: int, q: int) -> UnitaryGate:
     """The (p, q) single-qubit encoder, built from its basis action rules."""
-    if p not in _BITS or q not in _BITS:
+    bits = _bit(p), _bit(q)
+    if None in bits:
         raise GateError(f"bits required, got p={p!r} q={q!r}")
-    mat = np.zeros((2, 2), dtype=complex)
-    mat[(p + q) % 2, 0] = (-1.0) ** p
-    mat[(p + q + 1) % 2, 1] = 1.0
-    return UnitaryGate(1, mat, name=f"sigma{p}{q}")
+    p, q = bits
+    return _from_rule(1, partial(_encode, p, q), f"sigma{p}{q}")
 
 
 def bell(x: int, y: int, wires: Sequence[str]) -> PureState:
     """Unnormalized Bell state |x>|y> + (-1)^y |x+1>|y+1> on two wires."""
-    if x not in _BITS or y not in _BITS:
+    bits = _bit(x), _bit(y)
+    if None in bits:
         raise GateError(f"bits required, got x={x!r} y={y!r}")
+    x, y = bits
     wires = tuple(wires)
     if len(wires) != 2:
         raise GateError("a Bell state needs exactly two wire labels")
@@ -162,8 +143,12 @@ def cu_sigma() -> UnitaryGate:
 
     |p>|q>|x> -> |p>|q> sigma(p,q)|x>; arity 3, controls first.
     """
-    branches = {(p, q): sigma(p, q) for p in _BITS for q in _BITS}
-    return control_unitary(ControlSpec(2, branches), name="cu_sigma")
+
+    def rule(p: int, q: int, x: int) -> tuple[tuple[int, ...], int]:
+        (y,), sign = _encode(p, q, x)
+        return (p, q, y), sign
+
+    return _from_rule(3, rule, "cu_sigma")
 
 
 @lru_cache(maxsize=1)
@@ -196,11 +181,8 @@ def u_b_decoder() -> UnitaryGate:
 
     |xy>|z> -> (-1)^(y(z+1)) |xy>|z+x+y>  with addition mod 2.
     """
-    branches = {}
-    for x in _BITS:
-        for y in _BITS:
-            mat = np.zeros((2, 2), dtype=complex)
-            for z in _BITS:
-                mat[(z + x + y) % 2, z] = (-1.0) ** (y * (z + 1))
-            branches[(x, y)] = UnitaryGate(1, mat)
-    return control_unitary(ControlSpec(2, branches), name="u_b")
+
+    def rule(x: int, y: int, z: int) -> tuple[tuple[int, ...], int]:
+        return (x, y, (z + x + y) % 2), (-1) ** (y * (z + 1))
+
+    return _from_rule(3, rule, "u_b")

@@ -49,6 +49,7 @@ from .state import (
     Bipartition,
     BranchDecomposition,
     PureState,
+    _bit,
     basis_state,
     apply,
     branch_decompose,
@@ -289,9 +290,11 @@ def audit_locality(trace: Iterable[Event]) -> int:
     return checked
 
 
-def _check_bit(name: str, value: int) -> None:
-    if value not in (0, 1):
+def _check_bit(name: str, value: int) -> int:
+    bit = _bit(value)
+    if bit is None:
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
+    return bit
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,8 +404,7 @@ def run_superdense(p: int, q: int, tol: float = DEFAULT_TOL) -> SuperdenseResult
     from the expected two-component form, or if the final state is not a
     single pointer branch.
     """
-    _check_bit("p", p)
-    _check_bit("q", q)
+    p, q = _check_bit("p", p), _check_bit("q", q)
     initial = _superdense_state(p, q, bell(0, 0, ("a", "b")))
     world = init_wires(empty_world(), initial, SUPERDENSE_WIRES, f"superdense(p={p},q={q})")
     encode, send_and_measure = _template_steps(circuit.superdense_source, 0, 0, (0, 0))

@@ -174,15 +174,23 @@ class PureState:
         return f"PureState(wires={self.wires}, dim={self.amps.shape[-1]}{batch})"
 
 
+def _bit(value: object) -> int | None:
+    """value as the int 0 or 1, a bool read as its int; None for anything else."""
+    if isinstance(value, (int, np.integer, np.bool_)) and value in (0, 1):
+        return int(value)
+    return None
+
+
 def _pack(bits: Sequence[int], n: int) -> int:
     """The basis index of one bit per wire over n wires, first wire most significant."""
     if len(bits) != n:
         raise WireError(f"need {n} bits, got {len(bits)}")
     idx = 0
     for b in bits:
-        if b not in (0, 1):
+        bit = _bit(b)
+        if bit is None:
             raise StateError(f"bit must be 0 or 1, got {b!r}")
-        idx = (idx << 1) | b
+        idx = (idx << 1) | bit
     return idx
 
 

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from conftest import random_unitary
 
+from everettsim.circuit import exec_circuit, parse_circuit
 from everettsim.gates import (
-    ControlSpec,
     GateError,
     UnitaryGate,
     bell,
-    control_unitary,
     cu_meas,
     cu_sigma,
     reversed_convention_matrix,
@@ -68,6 +67,16 @@ def test_sigma_rejects_non_bits():
         sigma(2, 0)
 
 
+def test_sigma_reads_a_bool_as_its_int_and_rejects_a_float():
+    # the first call for a cache key builds the gate that every equal key gets
+    sigma.cache_clear()
+    assert sigma(True, 1).name == "sigma11"
+    world, _ = exec_circuit(parse_circuit("wire a @ Alice\ninit a = |0>\ngate sigma11 a @ Alice\n"))
+    assert world.trace[-1].record()["gate"] == "sigma11"
+    with pytest.raises(GateError, match="bits required"):
+        sigma(1.0, 0)
+
+
 # -------------------------------------------------------------------- bell
 
 
@@ -95,6 +104,8 @@ def test_bell_needs_two_wires_and_bits():
         bell(0, 0, ("a",))
     with pytest.raises(GateError):
         bell(0, 3, ("a", "b"))
+    with pytest.raises(GateError):
+        bell(1.0, 0, ("a", "b"))
 
 
 # --------------------------------------------------------------- UnitaryGate
@@ -107,6 +118,10 @@ def test_non_unitary_matrices_are_rejected():
         UnitaryGate(2, np.eye(3))
     with pytest.raises(GateError):
         UnitaryGate(1, np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(GateError):
+        UnitaryGate(-1, np.eye(1))
+    with pytest.raises(GateError):
+        UnitaryGate(1.5, np.eye(2))
 
 
 def test_gate_matrix_is_frozen():
@@ -128,16 +143,10 @@ def test_signed_permutations_list_their_entries_and_dense_gates_do_not(rng):
     assert UnitaryGate(1, random_unitary(rng, 2)).monomial is None
 
 
-# ----------------------------------------------------------- control_unitary
+# ---------------------------------------------------------------- cu_sigma
 
 
-def test_all_identity_branches_give_the_identity():
-    branches = {(b,): UnitaryGate(1, np.eye(2)) for b in (0, 1)}
-    g = control_unitary(ControlSpec(1, branches))
-    assert np.array_equal(g.matrix, np.eye(4))
-
-
-def test_control_unitary_blocks_follow_control_value():
+def test_cu_sigma_applies_sigma_on_every_basis_ket():
     g = cu_sigma()
     for p in (0, 1):
         for q in (0, 1):
@@ -149,33 +158,6 @@ def test_control_unitary_blocks_follow_control_value():
                     PureState(("a",), sigma(p, q).matrix @ ket(x)),
                 )
                 assert np.array_equal(got.amps, want.amps)
-
-
-def test_control_unitary_of_random_unitaries_is_unitary(rng):
-    for _ in range(100):
-        control_arity = int(rng.integers(1, 3))
-        target_arity = int(rng.integers(1, 3))
-        branches = {}
-        for value in range(1 << control_arity):
-            bits = tuple((value >> (control_arity - 1 - i)) & 1 for i in range(control_arity))
-            branches[bits] = UnitaryGate(target_arity, random_unitary(rng, 1 << target_arity))
-        gate = control_unitary(ControlSpec(control_arity, branches))
-        dim = 1 << gate.arity
-        assert np.abs(gate.matrix.conj().T @ gate.matrix - np.eye(dim)).max() <= 1e-12
-
-
-def test_control_spec_requires_total_uniform_mapping():
-    with pytest.raises(GateError):
-        ControlSpec(1, {(0,): sigma(0, 0)})  # partial
-    with pytest.raises(GateError):
-        ControlSpec(
-            1, {(0,): sigma(0, 0), (1,): UnitaryGate(2, np.eye(4))}
-        )  # mixed target arity
-    with pytest.raises(GateError):
-        ControlSpec(1, {(0,): sigma(0, 0), (2,): sigma(0, 1)})  # bad key
-
-
-# ---------------------------------------------------------------- cu_sigma
 
 
 def test_cu_sigma_fixes_the_all_zero_control():

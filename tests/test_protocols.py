@@ -5,10 +5,8 @@ from conftest import embed
 from everettsim import circuit, protocols
 from everettsim.circuit import GATES
 from everettsim.gates import (
-    ControlSpec,
     UnitaryGate,
     bell,
-    control_unitary,
     cu_meas,
     cu_sigma,
     sigma,
@@ -199,10 +197,17 @@ def test_superdense_rejects_non_bits():
         run_superdense(2, 0)
 
 
+def test_superdense_reads_a_bool_as_its_int_and_rejects_a_float():
+    assert run_superdense(True, False).world.trace[0].state == "superdense(p=1,q=0)"
+    with pytest.raises(ValueError, match="p must be 0 or 1"):
+        run_superdense(1.0, 0)
+
+
 def test_superdense_self_check_fires_on_a_tampered_encoder(monkeypatch):
     run_superdense(0, 1)  # the real encoder passes the check
-    transposed = {(p, q): sigma(q, p) for p in (0, 1) for q in (0, 1)}
-    tampered = control_unitary(ControlSpec(2, transposed), name="cu_sigma")
+    # the two control wires swapped: control (p, q) applies sigma(q, p)
+    swap = [0, 1, 4, 5, 2, 3, 6, 7]
+    tampered = UnitaryGate(3, cu_sigma().matrix[np.ix_(swap, swap)], name="cu_sigma")
     monkeypatch.setitem(GATES, "cu_sigma", GATES["cu_sigma"]._replace(build=lambda: tampered))
     with pytest.raises(ProtocolError, match=r"post-encoding state diverged for \(p,q\)=\(0,1\)"):
         run_superdense(0, 1)

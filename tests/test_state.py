@@ -69,7 +69,7 @@ def test_index_of_packs_first_wire_most_significant():
     assert s.amps[0b101] == 1.0
 
 
-@pytest.mark.parametrize("bits", [(2, 0, 1), (-1, 0, 0)])
+@pytest.mark.parametrize("bits", [(2, 0, 1), (-1, 0, 0), (1.0, 0, 0)])
 def test_index_of_rejects_a_non_bit_as_basis_state_does(bits):
     s = basis_state(("a", "b", "c"), (0, 0, 0))
     with pytest.raises(StateError, match="bit must be 0 or 1"):
