@@ -63,6 +63,15 @@ _COLUMN_ROWS = 1 << 10
 # column; this many rows keep those lines (512 KiB) in a core's L2 cache until
 # every column is written, instead of fetching them again from memory.
 _ROW_CHUNK = 1 << 13
+# apply's block product gathers, multiplies and scatters this many amplitudes
+# at a time (counted over a batch), through two buffers of 128 KiB that stay
+# in a core's L2 cache. On a 2-core x86-64 VM (glibc 2.36), in a fresh
+# process, allocating and touching two buffers of 2**14 amplitudes took
+# 170-215 us against 11 us for 2**13, and after one `verify`, check 6's
+# cu_meas on 1000 five-wire states took 1.65 ms against 0.94-1.11 ms. At 20
+# wires cu_meas took about 3% longer than with 2**14 and 10% less than with
+# 2**12.
+_CHUNK = 1 << 13
 
 
 class StateError(ValueError):
@@ -281,11 +290,15 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
     slices: each of the 2**k slices of a fresh result with the target bits
     fixed is one slice of the input times an entry (``_move``), one numpy
     call with one read and one write per amplitude, no transpose and no
-    BLAS call. Any other matrix runs as a block product on ``_wire_view``'s
-    views of the input and the result: one block for each value of the
-    other wires but the last ``inner``, holding every element of a batch,
-    is multiplied by the matrix in one BLAS call per element, each below
-    _GEMM_BLOCK, and written straight into the result.
+    BLAS call. Any other matrix runs as a block product: each block, the
+    target rows of one value of the other wires but a few column wires, is
+    multiplied by the matrix in one BLAS call below _GEMM_BLOCK. The blocks
+    go chunk by chunk (``_block_plan``): a chunk of about _CHUNK amplitudes,
+    several blocks and batch elements, is copied once into a contiguous
+    stack of blocks, multiplied by one ``np.matmul`` (a BLAS call per
+    block) and written back into the result by one assignment. Every
+    amplitude is one dot over the matrix's columns in the same order
+    whatever the chunk, so chunking changes no bit.
     """
     targets = tuple(targets)
     k = len(targets)
@@ -300,15 +313,26 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
         for row, col, entry in gate.monomial:
             _move(src[slices[col]], entry, dst[slices[row]])
         return PureState._adopt(state.wires, out)
-    src = _wire_view(state, targets, state.amps, "target")
-    dst = _wire_view(state, targets, out, "target")
-    columns = _GEMM_BLOCK // gate.matrix.size
-    inner = min(n - k, max(0, columns.bit_length() - 1))
-    every = (slice(None),) * (len(batch) + k)
-    for idx in itertools.product((0, 1), repeat=n - k - inner):
-        block = dst[every + idx]
-        shape = block.shape[: len(batch)] + (1 << k, -1)
-        block[...] = (gate.matrix @ src[every + idx].reshape(shape)).reshape(block.shape)
+    order, outer, per, block = _block_plan(n, _positions(state, targets, "target"))
+    # a single state is a batch of one here
+    shape = (-1,) + (2,) * n
+    src = state.amps.reshape(shape).transpose(order)
+    dst = out.reshape(shape).transpose(order)
+    elements = src.shape[0]
+    per = min(per, elements)
+    gathered = np.empty((per * block[0],) + block[1:], dtype=complex)
+    product = np.empty_like(gathered)
+    for start in range(0, elements, per):
+        run = min(per, elements - start)
+        # every chunk of a run of elements has the same shape and buffers
+        chunk = (run,) + src.shape[1 + outer :]
+        stack, results = gathered[: run * block[0]], product[: run * block[0]]
+        stack_chunk, results_chunk = stack.reshape(chunk), results.reshape(chunk)
+        for bits in itertools.product((0, 1), repeat=outer):
+            key = (slice(start, start + run),) + bits
+            np.copyto(stack_chunk, src[key])
+            np.matmul(gate.matrix, stack, out=results)
+            dst[key] = results_chunk
     return PureState._adopt(state.wires, out)
 
 
@@ -342,6 +366,41 @@ def _axis_plan(n: int, front: tuple[int, ...], batch_rank: int) -> tuple[int, ..
     """The transpose _wire_view takes for the wire positions `front`."""
     rest = tuple(i for i in range(n) if i not in front)
     return tuple(range(batch_rank)) + tuple(batch_rank + i for i in front + rest)
+
+
+@lru_cache(maxsize=4096)
+def _block_plan(
+    n: int, targets: tuple[int, ...]
+) -> tuple[tuple[int, ...], int, int, tuple[int, int, int]]:
+    """How apply's block product cuts a (batch, 2, ..., 2) view of n wires into chunks.
+
+    Returns (order, outer, per, block). `order` transposes the view to the
+    batch axis, the loop wires, the targets in gate order and the column
+    wires. The columns are the last `inner` other wires: as many as keep a
+    product with the matrix below _GEMM_BLOCK, the BLAS call's shape. The
+    chunks run over the batch, `per` elements at a time, and over the
+    first `outer` loop wires; a chunk of one element is `block`, (stacked
+    blocks, 2**k, 2**inner), about _CHUNK amplitudes. The column wires are
+    ordered by runs of neighbours in the layout, the longest run last, so
+    the gather into that buffer copies along the longest stretch it can:
+    after the last target there may be only a few amplitudes. A column's
+    place in the product does not change its sum.
+    """
+    k = len(targets)
+    rest = [i for i in range(n) if i not in targets]
+    inner = min(n - k, max(0, (_GEMM_BLOCK >> (2 * k)).bit_length() - 1))
+    loops, columns = rest[: n - k - inner], rest[n - k - inner :]
+    runs: list[list[int]] = []
+    for i in columns:
+        if runs and runs[-1][-1] == i - 1:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    columns = [i for run in sorted(runs, key=len) for i in run]
+    stack = min(len(loops), max(0, (_CHUNK >> (k + inner)).bit_length() - 1))
+    order = (0,) + tuple(1 + i for i in loops + list(targets) + columns)
+    per = max(1, _CHUNK >> (k + inner + len(loops)))
+    return order, len(loops) - stack, per, (1 << stack, 1 << k, 1 << inner)
 
 
 @lru_cache(maxsize=4096)

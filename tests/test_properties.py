@@ -25,7 +25,7 @@ from everettsim.circuit import (
     exec_circuit,
     parse_circuit,
 )
-from everettsim.gates import UnitaryGate
+from everettsim.gates import UnitaryGate, cu_meas
 from everettsim.protocols import ProtocolError
 from everettsim.render import render_ascii
 from everettsim.state import (
@@ -33,6 +33,7 @@ from everettsim.state import (
     PureState,
     StateError,
     apply,
+    branch_decompose,
     fidelity,
     schmidt_factor,
     tensor,
@@ -388,6 +389,47 @@ def test_apply_matches_the_block_product_at_20_wires(wide_state, name):
     gate = GATES[name].build()
     targets = tuple(np.random.default_rng(sorted(GATES).index(name)).permutation(wide_state.wires))
     assert_apply_matches_reference(gate, targets[: gate.arity], wide_state)
+
+
+@pytest.mark.parametrize("size,arity,targets", [
+    # cu_meas at 20 wires, with no wire or 1-3 column wires after the last
+    # target
+    (0, 4, (16, 17, 18, 19)),
+    (0, 4, (3, 12, 18, 7)),
+    (0, 4, (19, 2, 16, 11)),
+    (0, 4, (2, 17, 9, 15)),
+    (0, 4, (6, 10, 13, 18)),
+    # random dense unitaries at 20 wires
+    (0, 2, (18, 19)),
+    (0, 2, (19, 4)),
+    (0, 3, (17, 18, 19)),
+    (0, 3, (0, 19, 18)),
+    (0, 3, (9, 18, 2)),
+    # cu_meas on batches, chunked by runs of elements with a short last run
+    (1000, 4, (3, 0, 4, 1)),
+    (700, 4, (6, 2, 5, 0)),
+])
+def test_block_product_chunks_keep_every_bit(wide_state, size, arity, targets):
+    rng = np.random.default_rng(sum(targets))
+    gate = cu_meas() if arity == 4 else UnitaryGate(arity, random_unitary(rng, 1 << arity))
+    s = wide_state
+    if size:
+        n = max(targets) + 1
+        s = PureState(tuple(f"w{i}" for i in range(n)), kernel_amps(rng, (size, 1 << n)))
+    wires = tuple(s.wires[i] for i in targets)
+    got = apply(gate, wires, s).amps
+    assert got.tobytes() == reference_apply(gate, wires, s).tobytes()
+
+
+def test_block_product_of_a_strided_state_keeps_every_bit():
+    """A residual of branch_decompose may be a strided view of the state's amplitudes."""
+    rng = np.random.default_rng(6)
+    s = PureState(tuple(f"w{i}" for i in range(7)), kernel_amps(rng, 1 << 7))
+    residual = branch_decompose(s, ("w6",)).branches[0].residual
+    assert not residual.amps.flags.c_contiguous
+    targets = ("w5", "w1", "w3", "w2")
+    got = apply(cu_meas(), targets, residual).amps
+    assert got.tobytes() == reference_apply(cu_meas(), targets, residual).tobytes()
 
 
 def product_on_cut(rng, n, right, rank):
