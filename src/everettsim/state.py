@@ -12,6 +12,12 @@ the squared norms, ``norm_drift``, ``equal_up_to_phase``, ``fidelity``,
 ``schmidt_factor``) work along the last axis, so one code path serves a
 single state and a batch, and return one value per element for a batch.
 
+One helper, ``_bit_view``, owns the memory layout: it alone reshapes
+amplitudes to one axis of 2 per wire and transposes them, the wires a
+kernel names first. ``apply``, ``permute_wires``, ``schmidt_factor`` and
+``branch_decompose`` take their views from it, directly or through
+``_wire_view``; ``_pack`` is the one packing of bits into an index.
+
 Everything here is an immutable value and every operation is a pure function,
 so states can be shared freely between threads.
 """
@@ -169,9 +175,16 @@ class PureState:
         return _per_state(self._norm_sq)
 
     def element(self, i: int) -> PureState:
-        """State i of a batch, sharing its read-only amplitudes."""
+        """State i of a batch, sharing its read-only amplitudes.
+
+        A negative i counts from the end, as a Python index does; an i outside
+        [-B, B) for a batch of B raises StateError.
+        """
         if self.amps.ndim != 2:
             raise StateError("only a batch has elements")
+        size = self.amps.shape[0]
+        if not -size <= i < size:
+            raise StateError(f"element {i} is outside a batch of {size}")
         return PureState._adopt(self.wires, self.amps[i])
 
     def index_of(self, bits: Sequence[int]) -> int:
@@ -286,38 +299,39 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
     """Apply a gate to the designated wires, identity on all others.
 
     The gate's matrix alone picks the path, the same for a single state and
-    a batch at every width. A phased permutation (``gate.monomial``) moves
-    slices: each of the 2**k slices of a fresh result with the target bits
-    fixed is one slice of the input times an entry (``_move``), one numpy
-    call with one read and one write per amplitude, no transpose and no
-    BLAS call. Any other matrix runs as a block product: each block, the
-    target rows of one value of the other wires but a few column wires, is
-    multiplied by the matrix in one BLAS call below _GEMM_BLOCK. The blocks
-    go chunk by chunk (``_block_plan``): a chunk of about _CHUNK amplitudes,
-    several blocks and batch elements, is copied once into a contiguous
-    stack of blocks, multiplied by one ``np.matmul`` (a BLAS call per
-    block) and written back into the result by one assignment. Every
-    amplitude is one dot over the matrix's columns in the same order
-    whatever the chunk, so chunking changes no bit.
+    a batch at every width; a single state runs as a batch of one. Both
+    paths see the input and a fresh result through ``_bit_view``. A phased
+    permutation (``gate.monomial``) views them with the targets first and
+    moves slices: the slice of the result whose target bits spell an entry's
+    row is the input's slice at its column times the entry (``_move``), one
+    numpy call with one read and one write per amplitude and no BLAS call.
+    Any other matrix runs as a block product, over a view in the wire order
+    ``_block_plan`` returns: each block, the target rows of one value of the
+    other wires but a few column wires, is multiplied by the matrix in one
+    BLAS call below _GEMM_BLOCK. The blocks go chunk by chunk: a chunk of
+    about _CHUNK amplitudes, several blocks and batch elements, is copied
+    once into a contiguous stack of blocks, multiplied by one ``np.matmul``
+    (a BLAS call per block) and written back into the result by one
+    assignment. Every amplitude is one dot over the matrix's columns in the
+    same order whatever the chunk, so chunking changes no bit.
     """
     targets = tuple(targets)
     k = len(targets)
     if gate.arity != k:
         raise StateError(f"gate acts on {gate.arity} wires, got {k} targets")
     n = state.n_wires
-    batch = state.amps.shape[:-1]
+    front = _positions(state, targets, "target")
     out = np.empty(state.amps.shape, dtype=complex)
-    if gate.monomial is not None:
-        shape, slices = _slice_plan(n, _positions(state, targets, "target"), len(batch))
-        src, dst = state.amps.reshape(shape), out.reshape(shape)
-        for row, col, entry in gate.monomial:
-            _move(src[slices[col]], entry, dst[slices[row]])
-        return PureState._adopt(state.wires, out)
-    order, outer, per, block = _block_plan(n, _positions(state, targets, "target"))
     # a single state is a batch of one here
-    shape = (-1,) + (2,) * n
-    src = state.amps.reshape(shape).transpose(order)
-    dst = out.reshape(shape).transpose(order)
+    amps, result = state.amps.reshape(-1, 1 << n), out.reshape(-1, 1 << n)
+    if gate.monomial is not None:
+        src, dst = _bit_view(amps, n, front), _bit_view(result, n, front)
+        index = _target_index(k)
+        for row, col, entry in gate.monomial:
+            _move(src[index[col]], entry, dst[index[row]])
+        return PureState._adopt(state.wires, out)
+    order, outer, per, block = _block_plan(n, front)
+    src, dst = _bit_view(amps, n, order), _bit_view(result, n, order)
     elements = src.shape[0]
     per = min(per, elements)
     gathered = np.empty((per * block[0],) + block[1:], dtype=complex)
@@ -337,15 +351,22 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
 
 
 def _wire_view(state: PureState, wires: tuple[str, ...], amps: np.ndarray, role: str) -> np.ndarray:
-    """`amps`, laid out as `state`'s, viewed as (batch..., 2, ..., 2) with `wires` first.
+    """`amps`, laid out as `state`'s, viewed by `_bit_view` with `wires` first.
 
-    The batch axes come first, then the axes of `wires` in their order, then
-    the other wires in state order. A repeated or unknown wire raises
-    WireError; `role` names the wires in the first message.
+    A repeated or unknown wire raises WireError; `role` names the wires in
+    the first message.
+    """
+    return _bit_view(amps, state.n_wires, _positions(state, wires, role))
+
+
+def _bit_view(amps: np.ndarray, n: int, front: tuple[int, ...]) -> np.ndarray:
+    """`amps` over n wires viewed as (batch..., 2, ..., 2), the wires at positions `front` first.
+
+    The batch axes come first, then one axis per wire: those at `front` in
+    its order, then the others in state order.
     """
     batch = amps.shape[:-1]
-    plan = _axis_plan(state.n_wires, _positions(state, wires, role), len(batch))
-    return amps.reshape(batch + (2,) * state.n_wires).transpose(plan)
+    return amps.reshape(batch + (2,) * n).transpose(_axis_plan(n, front, len(batch)))
 
 
 def _positions(state: PureState, wires: tuple[str, ...], role: str) -> tuple[int, ...]:
@@ -363,7 +384,7 @@ def _positions(state: PureState, wires: tuple[str, ...], role: str) -> tuple[int
 # the life of the process
 @lru_cache(maxsize=4096)
 def _axis_plan(n: int, front: tuple[int, ...], batch_rank: int) -> tuple[int, ...]:
-    """The transpose _wire_view takes for the wire positions `front`."""
+    """The transpose _bit_view takes for the wire positions `front`."""
     rest = tuple(i for i in range(n) if i not in front)
     return tuple(range(batch_rank)) + tuple(batch_rank + i for i in front + rest)
 
@@ -372,11 +393,11 @@ def _axis_plan(n: int, front: tuple[int, ...], batch_rank: int) -> tuple[int, ..
 def _block_plan(
     n: int, targets: tuple[int, ...]
 ) -> tuple[tuple[int, ...], int, int, tuple[int, int, int]]:
-    """How apply's block product cuts a (batch, 2, ..., 2) view of n wires into chunks.
+    """How apply's block product cuts a batch of states over n wires into chunks.
 
-    Returns (order, outer, per, block). `order` transposes the view to the
-    batch axis, the loop wires, the targets in gate order and the column
-    wires. The columns are the last `inner` other wires: as many as keep a
+    Returns (order, outer, per, block). `order` holds the wire positions
+    that ``_bit_view`` puts after the batch axis: the loop wires, the targets
+    in gate order, then the column wires. The columns are the last `inner` other wires: as many as keep a
     product with the matrix below _GEMM_BLOCK, the BLAS call's shape. The
     chunks run over the batch, `per` elements at a time, and over the
     first `outer` loop wires; a chunk of one element is `block`, (stacked
@@ -398,39 +419,15 @@ def _block_plan(
             runs.append([i])
     columns = [i for run in sorted(runs, key=len) for i in run]
     stack = min(len(loops), max(0, (_CHUNK >> (k + inner)).bit_length() - 1))
-    order = (0,) + tuple(1 + i for i in loops + list(targets) + columns)
+    order = tuple(loops + list(targets) + columns)
     per = max(1, _CHUNK >> (k + inner + len(loops)))
     return order, len(loops) - stack, per, (1 << stack, 1 << k, 1 << inner)
 
 
-@lru_cache(maxsize=4096)
-def _slice_plan(n: int, targets: tuple[int, ...], batch_rank: int) -> tuple[tuple, tuple]:
-    """The view and slice indices apply moves a phased permutation by.
-
-    The view keeps the natural layout: a batch axis, then one axis of 2 per
-    target and one axis per run of other wires between them. Entry i of the
-    indices picks the slice whose target bits spell i, first target most
-    significant.
-    """
-    shape: list[int] = [-1] * batch_rank
-    axis = {}
-    after = 0  # the position after the last target placed
-    for p in sorted(targets):
-        if p > after:
-            shape.append(1 << (p - after))
-        axis[p] = len(shape)
-        shape.append(2)
-        after = p + 1
-    if n > after:
-        shape.append(1 << (n - after))
-    slices = []
-    for bits in itertools.product((0, 1), repeat=len(targets)):
-        index: list = [slice(None)] * len(shape)
-        for p, b in zip(targets, bits):
-            index[axis[p]] = b
-        # the trailing Ellipsis keeps a slice of single amplitudes a view
-        slices.append(tuple(index) + (Ellipsis,))
-    return tuple(shape), tuple(slices)
+@lru_cache(maxsize=None)
+def _target_index(k: int) -> tuple[tuple, ...]:
+    """Entry i indexes the slice of a batch's targets-first view whose k target bits spell i."""
+    return tuple((slice(None),) + bits for bits in itertools.product((0, 1), repeat=k))
 
 
 def _move(src: np.ndarray, entry: complex, dst: np.ndarray) -> None:
@@ -446,12 +443,20 @@ def _move(src: np.ndarray, entry: complex, dst: np.ndarray) -> None:
 def inner_product(s1: PureState, s2: PureState) -> complex:
     """<s1|s2>, conjugate-linear in the first argument."""
     _check_same_wires(s1, s2)
+    _check_same_batch(s1, s2)
     return _per_state(_vdot(s1.amps, s2.amps))
 
 
 def _check_same_wires(s1: PureState, s2: PureState) -> None:
     if s1.wires != s2.wires:
         raise WireError(f"wire mismatch: {s1.wires} vs {s2.wires}")
+
+
+def _check_same_batch(s1: PureState, s2: PureState) -> None:
+    """A batch pairs with a single state or with a batch of the same size."""
+    b1, b2 = s1.amps.shape[:-1], s2.amps.shape[:-1]
+    if b1 and b2 and b1 != b2:
+        raise StateError(f"batch size mismatch: {b1[0]} vs {b2[0]}")
 
 
 def _per_state(values: np.ndarray | np.generic):
@@ -523,15 +528,13 @@ def _ldexp(amps: np.ndarray, shift) -> np.ndarray:
 
 
 def _overlap(s1: PureState, s2: PureState, zero_message: str) -> tuple:
-    """|<s1|s2>|^2, <s1|s1> and <s2|s2> after rescaling each state on its own.
-
-    A batch pairs with a single state or with a batch of the same size.
-    """
+    """|<s1|s2>|^2, <s1|s1> and <s2|s2> after rescaling each state on its own."""
     a1, n1, _ = _in_range(s1)
     a2, n2, _ = _in_range(s2)
     if not (_all(n1 != 0.0) and _all(n2 != 0.0)):
         raise ZeroStateError(zero_message)
     _check_same_wires(s1, s2)
+    _check_same_batch(s1, s2)
     ip = _vdot(a1, a2)
     # libm's hypot and pow, as Python's abs(complex) ** 2 has them: np.abs and
     # ** round differently in the last bit, and printed fidelities show it
@@ -556,6 +559,7 @@ def fidelity(s1: PureState, s2: PureState) -> float | np.ndarray:
 
 def norm_drift(before: PureState, after: PureState) -> float | np.ndarray:
     """|<after|after> - <before|before>| / <before|before>, at any scale; per element for a batch."""
+    _check_same_batch(before, after)
     _, n0, k0 = _in_range(before)
     _, n1, k1 = _in_range(after)
     if not _all(n0 != 0.0):

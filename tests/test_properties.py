@@ -421,6 +421,33 @@ def test_block_product_chunks_keep_every_bit(wide_state, size, arity, targets):
     assert got.tobytes() == reference_apply(gate, wires, s).tobytes()
 
 
+@pytest.mark.parametrize("name,targets,source", [
+    # a target at 17 or 18 leaves slices whose runs are 2-8 amplitudes long
+    ("sigma11", (0,), "state"),
+    ("sigma11", (17,), "state"),
+    ("sigma11", (18,), "state"),
+    ("sigma11", (19,), "state"),
+    ("u_b", (0, 1, 2), "state"),
+    ("u_b", (3, 12, 18), "state"),
+    ("cu_sigma", (19, 2, 16), "state"),
+    ("cu_sigma", (5, 18, 7), "state"),
+    # every other amplitude of the state, a strided view
+    ("u_b", (3, 12, 18), "residual"),
+    ("u_b", (3, 0, 4), "batch"),
+])
+def test_signed_permutations_keep_every_bit_at_20_wires(wide_state, name, targets, source):
+    gate = GATES[name].build()
+    s = wide_state
+    if source == "residual":
+        s = branch_decompose(s, ("w19",)).branches[0].residual
+        assert not s.amps.flags.c_contiguous
+    elif source == "batch":
+        wires = tuple(f"w{i}" for i in range(5))
+        s = PureState(wires, kernel_amps(np.random.default_rng(5), (1000, 1 << 5)))
+    wires = tuple(s.wires[i] for i in targets)
+    assert apply(gate, wires, s).amps.tobytes() == reference_apply(gate, wires, s).tobytes()
+
+
 def test_block_product_of_a_strided_state_keeps_every_bit():
     """A residual of branch_decompose may be a strided view of the state's amplitudes."""
     rng = np.random.default_rng(6)

@@ -460,6 +460,21 @@ def test_a_batch_is_one_state_per_row(rng):
         PureState(("a",), [[1, 0], [np.inf, 0]])
 
 
+def test_element_outside_the_batch_raises_state_error(rng):
+    batch = rand_batch(rng, ("a",), 3)
+    assert np.array_equal(batch.element(-3).amps, batch.amps[0])
+    for i in (3, 7, -4):
+        with pytest.raises(StateError, match=f"element {i} is outside a batch of 3"):
+            batch.element(i)
+
+
+@pytest.mark.parametrize("kernel", [equal_up_to_phase, fidelity, inner_product, norm_drift])
+def test_a_batch_pairs_only_with_a_batch_of_its_size(rng, kernel):
+    wires = ("a", "b")
+    with pytest.raises(StateError, match="batch size mismatch: 3 vs 5"):
+        kernel(rand_batch(rng, wires, 3), rand_batch(rng, wires, 5))
+
+
 def test_tensor_pairs_each_row_of_one_batch_with_single_states(rng):
     batch = rand_batch(rng, ("b",), 4)
     left, right = rand_state(rng, ("a",)), rand_state(rng, ("c", "d"))
