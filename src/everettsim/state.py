@@ -20,14 +20,23 @@ kernel names first. ``apply``, ``permute_wires``, ``schmidt_factor`` and
 
 Everything here is an immutable value and every operation is a pure function,
 so states can be shared freely between threads.
+
+A kernel over at least _SHARED amplitudes shares its pieces with one worker
+thread when the process may run on more than one core (``_share``): apply's
+slice moves and block-product chunks, and schmidt_factor's gather and large
+factor. Each piece makes the same numpy and BLAS calls on the same operands
+as one pass would, so sharing changes no bit. The worker starts on the first
+such call, calls only private helpers and numpy, and never builds a state.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -54,7 +63,8 @@ _NORM_SQ_RANGE = (2.0**-400, 2.0**400)
 # threaded, against 80 us as two one-thread halves, and one np.vdot over
 # 2**20 amplitudes took 0.60 ms at the 95th percentile idle and 5.1 ms next
 # to a busy loop on the other core, where _sum_sq's blocked sum took 0.97
-# and 2.1 ms. The kernels keep each BLAS call below these sizes.
+# and 2.1 ms. The kernels keep each BLAS call below these sizes, on either
+# thread: a piece shared with the worker makes the calls one pass would.
 _GEMM_BLOCK = 1 << 15
 _GEMV_BLOCK = 1 << 11
 _DOT_BLOCK = 1 << 13
@@ -71,13 +81,29 @@ _COLUMN_ROWS = 1 << 10
 _ROW_CHUNK = 1 << 13
 # apply's block product gathers, multiplies and scatters this many amplitudes
 # at a time (counted over a batch), through two buffers of 128 KiB that stay
-# in a core's L2 cache. On a 2-core x86-64 VM (glibc 2.36), in a fresh
+# in a core's L2 cache; each thread working on a call has two of its own.
+# On a 2-core x86-64 VM (glibc 2.36), in a fresh
 # process, allocating and touching two buffers of 2**14 amplitudes took
 # 170-215 us against 11 us for 2**13, and after one `verify`, check 6's
 # cu_meas on 1000 five-wire states took 1.65 ms against 0.94-1.11 ms. At 20
 # wires cu_meas took about 3% longer than with 2**14 and 10% less than with
 # 2**12.
 _CHUNK = 1 << 13
+# From this many amplitudes (counted over a batch) apply, and schmidt_factor's
+# gather and large factor, share their pieces between the calling thread and
+# one worker thread, when the process may run on more than one core. On a
+# 2-core x86-64 VM, cu_meas took 279 us inline and 443 us shared at 2**14
+# amplitudes, 495 and 484 us at 2**15, 928 and 731 us at 2**16. verify's
+# largest call has 32,000 amplitudes.
+# _sum_sq stays on one thread: split over two it took 0.72 ms against
+# 0.67 ms at 2**20 amplitudes. So do TSQR's QR levels: numpy's stacked QR
+# copies its input on the calling thread, and the worker's allocator arena
+# kept its 8 MiB copy, which raised wide's peak RSS from 104 to 113 MiB.
+_SHARED = 1 << 16
+# apply splits the slice moves of a signed permutation into pieces of about
+# this many amplitudes. At 20 wires 2**17 (8 pieces) was up to 15% faster
+# than 2**15 or 2**16 and as fast as 2**18 (sigma11, u_b, cu_sigma).
+_PIECE = 1 << 17
 
 
 class StateError(ValueError):
@@ -177,11 +203,16 @@ class PureState:
     def element(self, i: int) -> PureState:
         """State i of a batch, sharing its read-only amplitudes.
 
-        A negative i counts from the end, as a Python index does; an i outside
-        [-B, B) for a batch of B raises StateError.
+        A negative i counts from the end, as a Python index does, and a bool
+        reads as its int; an i that is not an integer, or lies outside [-B, B)
+        for a batch of B, raises StateError.
         """
         if self.amps.ndim != 2:
             raise StateError("only a batch has elements")
+        if not isinstance(i, (int, np.integer, np.bool_)):
+            raise StateError(f"element index must be an integer, got {i!r}")
+        # numpy reads a bool index as a mask; a bool here reads as its int
+        i = int(i)
         size = self.amps.shape[0]
         if not -size <= i < size:
             raise StateError(f"element {i} is outside a batch of {size}")
@@ -295,6 +326,120 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return outer.reshape(batch + (-1,))
 
 
+class _Pieces:
+    """One kernel call's pieces, taken in turn from a shared counter by each thread working on them."""
+
+    def __init__(self, count: int, sharer: Callable[[], Callable[[int], None]]):
+        self.count = count
+        self.sharer: Callable[[], Callable[[int], None]] | None = sharer
+        # next() on an itertools.count is one C call: no piece is handed out twice
+        self.next = itertools.count().__next__
+        self.lock = threading.Lock()
+        # set by the worker when it starts, or by the caller when it cancels
+        self.claimed = False
+        self.done = threading.Event()
+        self.error: BaseException | None = None
+
+    def work(self) -> None:
+        """Run pieces until none is left; one that raises stops the other thread too."""
+        piece = self.sharer()
+        try:
+            i = self.next()
+            while i < self.count:
+                piece(i)
+                i = self.next()
+        except BaseException:
+            self.count = 0
+            raise
+
+
+def _serve(inbox) -> None:
+    """The worker thread: work on each task the caller has not cancelled."""
+    while True:
+        task = inbox.get()
+        with task.lock:
+            if task.claimed:
+                continue
+            task.claimed = True
+        try:
+            task.work()
+        except BaseException as exc:  # re-raised in the caller
+            task.error = exc
+        finally:
+            task.done.set()
+
+
+_worker_lock = threading.Lock()
+_worker: tuple[threading.Thread, object] | None = None
+
+
+def _inbox():
+    """The worker's queue of tasks, the worker started on first use (and again in a forked child)."""
+    global _worker
+    with _worker_lock:
+        if _worker is None or not _worker[0].is_alive():
+            # imported here, so that importing everettsim imports nothing more
+            import queue
+
+            inbox = queue.SimpleQueue()
+            thread = threading.Thread(target=_serve, args=(inbox,), name="everettsim-kernels", daemon=True)
+            thread.start()
+            _worker = (thread, inbox)
+        return _worker[1]
+
+
+def _cores() -> int:
+    """How many cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _share(count: int, amps: int, sharer: Callable[[], Callable[[int], None]]) -> None:
+    """Run pieces 0..count-1 of a kernel over `amps` amplitudes.
+
+    `sharer()` gives a thread its piece function, with any buffers of its
+    own. Below _SHARED amplitudes, or on one core, the pieces run here in
+    order. Otherwise this thread and the worker take them in turn from a
+    shared counter; every piece runs exactly once, the same computation on
+    the same operands, so sharing changes no bit. If the worker has not
+    started when the pieces run out, the task is cancelled rather than
+    waited for, so a busy worker costs about the serial time. An exception
+    from a piece on either thread is raised here, after the worker is done.
+    """
+    if count < 2 or amps < _SHARED or _cores() < 2:
+        piece = sharer()
+        for i in range(count):
+            piece(i)
+        return
+    task = _Pieces(count, sharer)
+    _inbox().put(task)
+    try:
+        task.work()
+    finally:
+        with task.lock:
+            started, task.claimed = task.claimed, True
+        if started:
+            task.done.wait()
+        # the worker holds on to its last task, and a cancelled one waits in
+        # the inbox: neither may keep the kernel's arrays alive
+        task.sharer = None
+    if task.error is not None:
+        raise task.error
+
+
+@lru_cache(maxsize=None)
+def _bits(m: int) -> tuple[tuple[int, ...], ...]:
+    """Every assignment of m bits, first bit most significant."""
+    return tuple(itertools.product((0, 1), repeat=m))
+
+
+def _split(amps: int, axes: int) -> int:
+    """How many leading axes, of at most `axes`, split `amps` amplitudes into pieces of about _PIECE."""
+    return min(axes, max(0, (amps // _PIECE).bit_length() - 1))
+
+
 def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureState:
     """Apply a gate to the designated wires, identity on all others.
 
@@ -313,7 +458,9 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
     once into a contiguous stack of blocks, multiplied by one ``np.matmul``
     (a BLAS call per block) and written back into the result by one
     assignment. Every amplitude is one dot over the matrix's columns in the
-    same order whatever the chunk, so chunking changes no bit.
+    same order whatever the chunk, so chunking changes no bit. The slice
+    moves, split over the first wires besides the targets, and the chunks
+    are the pieces ``_share`` hands out; each thread has its own buffers.
     """
     targets = tuple(targets)
     k = len(targets)
@@ -327,26 +474,39 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
     if gate.monomial is not None:
         src, dst = _bit_view(amps, n, front), _bit_view(result, n, front)
         index = _target_index(k)
-        for row, col, entry in gate.monomial:
-            _move(src[index[col]], entry, dst[index[row]])
+        parts = _bits(_split(amps.size, n - k))
+
+        def moves(p: int) -> None:
+            # every slice move, over one value of the first other wires
+            for row, col, entry in gate.monomial:
+                _move(src[index[col] + parts[p]], entry, dst[index[row] + parts[p]])
+
+        _share(len(parts), amps.size, lambda: moves)
         return PureState._adopt(state.wires, out)
     order, outer, per, block = _block_plan(n, front)
     src, dst = _bit_view(amps, n, order), _bit_view(result, n, order)
     elements = src.shape[0]
     per = min(per, elements)
-    gathered = np.empty((per * block[0],) + block[1:], dtype=complex)
-    product = np.empty_like(gathered)
-    for start in range(0, elements, per):
-        run = min(per, elements - start)
-        # every chunk of a run of elements has the same shape and buffers
-        chunk = (run,) + src.shape[1 + outer :]
-        stack, results = gathered[: run * block[0]], product[: run * block[0]]
-        stack_chunk, results_chunk = stack.reshape(chunk), results.reshape(chunk)
-        for bits in itertools.product((0, 1), repeat=outer):
-            key = (slice(start, start + run),) + bits
-            np.copyto(stack_chunk, src[key])
+    loops = _bits(outer)
+
+    def sharer() -> Callable[[int], None]:
+        # each thread gathers and multiplies in buffers of its own
+        gathered = np.empty((per * block[0],) + block[1:], dtype=complex)
+        product = np.empty_like(gathered)
+
+        def chunk(i: int) -> None:
+            start = i // len(loops) * per
+            run = min(per, elements - start)
+            shape = (run,) + src.shape[1 + outer :]
+            stack, results = gathered[: run * block[0]], product[: run * block[0]]
+            key = (slice(start, start + run),) + loops[i % len(loops)]
+            np.copyto(stack.reshape(shape), src[key])
             np.matmul(gate.matrix, stack, out=results)
-            dst[key] = results_chunk
+            dst[key] = results.reshape(shape)
+
+        return chunk
+
+    _share(-(-elements // per) * len(loops), amps.size, sharer)
     return PureState._adopt(state.wires, out)
 
 
@@ -427,7 +587,7 @@ def _block_plan(
 @lru_cache(maxsize=None)
 def _target_index(k: int) -> tuple[tuple, ...]:
     """Entry i indexes the slice of a batch's targets-first view whose k target bits spell i."""
-    return tuple((slice(None),) + bits for bits in itertools.product((0, 1), repeat=k))
+    return tuple((slice(None),) + bits for bits in _bits(k))
 
 
 def _move(src: np.ndarray, entry: complex, dst: np.ndarray) -> None:
@@ -613,7 +773,9 @@ def schmidt_factor(
     the same order, wherever the cut's wires sit, so the rank and the small
     factor do not depend on the layout. The large factor may differ in its
     last bits: BLAS sums the product in an order that follows the operand's
-    layout, a view of the amplitudes or a gather.
+    layout, a view of the amplitudes or a gather. The gather and the large
+    factor run in pieces of the stack of row blocks through ``_share``, each
+    piece the calls one pass would make on its blocks.
     """
     if set(cut.left) | set(cut.right) != set(state.wires):
         raise WireError("cut does not cover exactly the state's wires")
@@ -628,19 +790,31 @@ def schmidt_factor(
     # vectors. QR is backward-stable, so the rank test keeps its meaning (a
     # Gram matrix would square the tolerance).
     flip = len(left_wires) < len(right_wires)
-    blocks = _row_blocks(state, scaled, right_wires if flip else left_wires)
+    blocks, gather = _row_blocks(state, scaled, right_wires if flip else left_wires)
+    block, cols = blocks.shape[-2:]
+    stack = blocks.shape[len(batch) : -2]
+    # the gather and the large factor run over pieces of the stack of row
+    # blocks, split on its first axes
+    parts = _bits(_split(scaled.size, len(stack)))
+    index = [(slice(None),) * len(batch) + part for part in parts]
+    if gather is not None:
+        _share(len(parts), scaled.size, lambda: lambda p: gather(parts[p]))
     _, sv, vh = np.linalg.svd(_reduce_rows(blocks, len(batch)), full_matrices=False)
     rank = (sv > tol * sv[..., :1]).sum(-1)
     if not _all(rank == 1):
         return _per_state(rank), None
     small = vh[..., 0, :]
     # the large factor by row blocks, each one BLAS call below _GEMV_BLOCK
-    block, cols = blocks.shape[-2:]
     step = min(block, max(1, _GEMV_BLOCK // cols))
-    stack = blocks.shape[len(batch) : -2]
     steps = blocks.reshape(batch + stack + (-1, step, cols))
-    conj = small.conj().reshape(batch + (1,) * (len(stack) + 1) + (cols, 1))
-    big = np.matmul(steps, conj).reshape(batch + (-1,))
+    conj = small.conj().reshape(batch + (1,) * (len(stack) - len(parts[0]) + 1) + (cols, 1))
+    big = np.empty(steps.shape[:-1] + (1,), dtype=complex)
+
+    def large(p: int) -> None:
+        np.matmul(steps[index[p]], conj, out=big[index[p]])
+
+    _share(len(parts), scaled.size, lambda: large)
+    big = big.reshape(batch + (-1,))
     if not _all(shift == 0):
         big = _ldexp(big, -shift[..., None])
     # the cut matrix is outer(big, small) with the tall side first, and
@@ -652,24 +826,44 @@ def schmidt_factor(
     )
 
 
-def _row_blocks(state: PureState, amps: np.ndarray, tall: tuple[str, ...]) -> np.ndarray:
-    """The cut matrix with `tall`'s wires as rows, as a stack of row blocks.
+def _row_blocks(
+    state: PureState, amps: np.ndarray, tall: tuple[str, ...]
+) -> tuple[np.ndarray, Callable[[tuple[int, ...]], None] | None]:
+    """The cut matrix with `tall`'s wires as rows, as a stack of row blocks, and its gather.
 
-    `amps` is laid out as `state`'s. The result has shape (batch..., 2, ...,
+    `amps` is laid out as `state`'s. The stack has shape (batch..., 2, ...,
     2, block, cols): one axis per wire of `tall` above the last log2(block),
     in state order, then a block's rows and the columns, over the other
     wires in state order. A block has max(2 * cols, _GEMV_BLOCK // cols)
     rows, or every row when there are fewer: the whole matrix of a state of
     at most 11 wires. Where a block's row wires lie next to one another in
-    the layout, and so do the column wires, it is a view of `amps`, as for a
-    one-wire short side at the end of a 20-wire state or with at least 10
-    wires after it; elsewhere numpy gathers the whole matrix, once.
+    the layout, and so do the column wires, the stack is a view of `amps`
+    and the gather is None, as for a one-wire short side at the end of a
+    20-wire state or with at least 10 wires after it. Elsewhere the stack is
+    allocated empty, and `gather(part)` copies in the piece that the bits
+    `part` index on its first axes; `gather(())` copies all of it. Either
+    way the stack is what numpy's reshape of the wire view gives, in values
+    and in layout.
     """
     rows, cols = 1 << len(tall), 1 << (state.n_wires - len(tall))
     block = min(rows, max(2 * cols, _GEMV_BLOCK // cols))
-    top = len(tall) - (block.bit_length() - 1)
     view = _wire_view(state, tall, amps, "cut")
-    return view.reshape(view.shape[: view.ndim - state.n_wires + top] + (block, cols))
+    batch_rank = amps.ndim - 1
+    lead, cut = batch_rank + len(tall) - (block.bit_length() - 1), batch_rank + len(tall)
+    shape = view.shape[:lead] + (block, cols)
+    # numpy merges the axes of a block's rows, and those of its columns,
+    # without a copy when each stride is twice the next
+    strides = view.strides
+    if all(strides[i] == 2 * strides[i + 1] for i in range(lead, view.ndim - 1) if i != cut - 1):
+        return view.reshape(shape), None
+    blocks = np.empty(shape, dtype=complex)
+    batch = (slice(None),) * batch_rank
+
+    def gather(part: tuple[int, ...]) -> None:
+        piece = view[batch + part]
+        np.copyto(blocks[batch + part].reshape(piece.shape), piece)
+
+    return blocks, gather
 
 
 def _reduce_rows(blocks: np.ndarray, batch_rank: int) -> np.ndarray:

@@ -1,0 +1,152 @@
+"""The kernels' sharing of pieces with one worker thread (``state._share``).
+
+A state of at least ``state._SHARED`` amplitudes runs the pieces of
+``apply``, and of ``schmidt_factor``'s gather and large factor, on the
+calling thread and one worker thread, when the process may use two cores.
+These tests check that a piece's exception reaches the caller, that a busy
+worker costs no waiting, that the worker keeps no process alive, and that
+sharing moves no bit. The 20-wire tests of ``test_properties`` reach the
+shared path as well; CI runs that module once more on one core, where every
+piece runs inline.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+from test_properties import kernel_amps, product_on_cut, reference_apply
+
+from everettsim import state, verify
+from everettsim.circuit import GATES
+from everettsim.gates import cu_meas
+from everettsim.state import Bipartition, PureState, apply, schmidt_factor
+
+TWO_CORES = pytest.mark.skipif(state._cores() < 2, reason="the pieces run inline on one core")
+
+
+@pytest.fixture(scope="module")
+def wide_state():
+    wires = tuple(f"w{i}" for i in range(20))
+    return PureState(wires, kernel_amps(np.random.default_rng(15), 1 << 20))
+
+
+def test_a_piece_that_raises_is_raised_in_the_caller_and_the_next_call_works():
+    def sharer():
+        def piece(i):
+            if i == 5:
+                raise RuntimeError("piece 5 failed")
+
+        return piece
+
+    with pytest.raises(RuntimeError, match="piece 5 failed"):
+        state._share(16, 1 << 20, sharer)
+    seen = []
+    # list.append is one call under the GIL, safe from either thread
+    state._share(16, 1 << 20, lambda: seen.append)
+    assert sorted(seen) == list(range(16))
+
+
+@TWO_CORES
+def test_a_piece_that_raises_on_the_worker_is_raised_in_the_caller():
+    caller = threading.current_thread()
+
+    def piece(i):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("worker piece failed")
+        # leave the worker time to start and take a piece
+        time.sleep(0.01)
+
+    with pytest.raises(RuntimeError, match="worker piece failed"):
+        state._share(200, 1 << 20, lambda: piece)
+    seen = []
+    state._share(16, 1 << 20, lambda: seen.append)
+    assert sorted(seen) == list(range(16))
+
+
+def test_a_busy_worker_does_not_hold_up_a_20_wire_apply(wide_state):
+    started, release = threading.Event(), threading.Event()
+
+    def hold(i):
+        started.set()
+        release.wait(120)
+
+    busy = state._Pieces(1, lambda: hold)
+    state._inbox().put(busy)
+    assert started.wait(10)
+    cases = ((cu_meas(), ("w3", "w12", "w18", "w7")), (GATES["u_b"].build(), ("w3", "w12", "w18")))
+    got = {}
+    # on a thread of its own, so that an apply that waits for the worker fails the test
+    caller = threading.Thread(
+        target=lambda: got.update({targets: apply(gate, targets, wide_state).amps for gate, targets in cases}),
+        daemon=True,
+    )
+    try:
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive()
+    finally:
+        release.set()
+    assert busy.done.wait(10)
+    for gate, targets in cases:
+        assert got[targets].tobytes() == reference_apply(gate, targets, wide_state).tobytes()
+
+
+def test_a_process_that_shared_a_kernel_exits():
+    code = (
+        "import threading\n"
+        "import numpy as np\n"
+        "from everettsim.gates import cu_meas\n"
+        "from everettsim.state import PureState, apply\n"
+        "s = PureState(tuple(f'w{i}' for i in range(20)), np.ones(1 << 20))\n"
+        "apply(cu_meas(), ('w0', 'w5', 'w10', 'w19'), s)\n"
+        "print(threading.active_count())\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # the worker was running when the interpreter exited, where there are two cores
+    assert int(done.stdout) == (2 if state._cores() > 1 else 1)
+
+
+@pytest.mark.parametrize("position", [0, 12, 15, 19])
+def test_schmidt_factor_of_a_20_wire_cut_keeps_the_bits_of_one_serial_pass(position):
+    wire = f"w{position}"
+    s, _, _ = product_on_cut(np.random.default_rng(position), 20, (wire,), 1)
+    rank, factors = schmidt_factor(s, Bipartition(frozenset(s.wires) - {wire}, frozenset({wire})))
+    # the same steps, each one call over the whole stack of row blocks
+    scaled, _, shift = state._in_range(s)
+    assert shift == 0
+    blocks, gather = state._row_blocks(s, scaled, tuple(w for w in s.wires if w != wire))
+    if gather is not None:
+        gather(())
+    _, sv, vh = np.linalg.svd(state._reduce_rows(blocks, 0), full_matrices=False)
+    small = vh[0]
+    cols = blocks.shape[-1]
+    step = min(blocks.shape[-2], max(1, state._GEMV_BLOCK // cols))
+    steps = blocks.reshape(blocks.shape[:-2] + (-1, step, cols))
+    big = np.matmul(steps, small.conj()[:, None]).reshape(-1)
+    assert rank == (sv > state.DEFAULT_TOL * sv[0]).sum() == 1
+    assert factors[0].amps.tobytes() == big.tobytes()
+    assert factors[1].amps.tobytes() == small.tobytes()
+
+
+def test_verify_starts_no_thread(monkeypatch):
+    def refuse():
+        raise AssertionError("verify reached the shared path")
+
+    monkeypatch.setattr(state, "_inbox", refuse)
+    before = threading.active_count()
+    with contextlib.redirect_stdout(io.StringIO()):
+        results = verify.run_all()
+    assert all(result.passed for result in results)
+    assert threading.active_count() == before

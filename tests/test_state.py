@@ -468,6 +468,19 @@ def test_element_outside_the_batch_raises_state_error(rng):
             batch.element(i)
 
 
+@pytest.mark.parametrize("i", [1.5, "1", None, np.float64(1.0), 1j])
+def test_element_refuses_an_index_that_is_not_an_integer(rng, i):
+    batch = rand_batch(rng, ("a",), 3)
+    with pytest.raises(StateError, match="element index must be an integer"):
+        batch.element(i)
+
+
+def test_element_reads_a_bool_as_its_int(rng):
+    batch = rand_batch(rng, ("a",), 3)
+    for i in (True, False, np.True_, np.False_, np.int8(2)):
+        assert np.array_equal(batch.element(i).amps, batch.amps[int(i)])
+
+
 @pytest.mark.parametrize("kernel", [equal_up_to_phase, fidelity, inner_product, norm_drift])
 def test_a_batch_pairs_only_with_a_batch_of_its_size(rng, kernel):
     wires = ("a", "b")
