@@ -182,6 +182,10 @@ class _Cursor:
     def peek(self) -> str | None:
         return self.tokens[self.pos][1] if self.pos < len(self.tokens) else None
 
+    def column(self) -> int:
+        """The column of the next token, or the end of the line."""
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else self.end_column
+
     def take(self, expected: str) -> tuple[int, str]:
         if self.pos >= len(self.tokens):
             raise CircuitParseError(self.lineno, self.end_column, "line ended early", expected)
@@ -272,7 +276,7 @@ def parse_circuit(source: str) -> CircuitProgram:
             continue
         if head == "wire":
             cur.take("'wire'")
-            col = cur.tokens[cur.pos][0] if cur.pos < len(cur.tokens) else cur.end_column
+            col = cur.column()
             label = _parse_label(cur, None)
             if label in declared:
                 raise cur.error(col, f"wire {label!r} already declared", "a fresh label")
@@ -286,7 +290,7 @@ def parse_circuit(source: str) -> CircuitProgram:
             if cur.peek() == "pair":
                 cur.take("'pair'")
                 w1 = _parse_label(cur, declared)
-                col2 = cur.tokens[cur.pos][0] if cur.pos < len(cur.tokens) else cur.end_column
+                col2 = cur.column()
                 w2 = _parse_label(cur, declared)
                 if w2 == w1:
                     raise cur.error(col2, "pair wires must differ", "a different label")
@@ -309,7 +313,7 @@ def parse_circuit(source: str) -> CircuitProgram:
                 raise cur.error(col, f"unknown gate {name!r}", " | ".join(sorted(GATES)))
             operands: list[str] = []
             while cur.peek() is not None and cur.peek() != "@":
-                wcol = cur.tokens[cur.pos][0]
+                wcol = cur.column()
                 w = _parse_label(cur, declared)
                 if w in operands:
                     raise cur.error(wcol, f"repeated operand {w!r}", "distinct wires")
@@ -335,7 +339,10 @@ def parse_circuit(source: str) -> CircuitProgram:
             col, what = cur.take("'pointer' or 'factor'")
             if what == "pointer":
                 w1 = _parse_label(cur, declared)
+                col2 = cur.column()
                 w2 = _parse_label(cur, declared)
+                if w2 == w1:
+                    raise cur.error(col2, "pointer wires must differ", "a different label")
                 cur.literal("=")
                 bcol, btok = cur.take("two bits")
                 if len(btok) != 2 or any(ch not in "01" for ch in btok):
@@ -377,7 +384,8 @@ def exec_circuit(
     """Interpret a program; returns the final world and assertion outcomes.
 
     Assertions are recorded and execution continues past failures; locality
-    violations and malformed runtime states raise and halt. A program that
+    violations and malformed runtime states raise and halt, their message
+    prefixed with the statement's line. A program that
     initializes more than MAX_WIRES wires halts before its first statement,
     naming the init that crosses the limit, so no part of it is allocated.
     An init whose product with the world state leaves the float range halts
@@ -398,7 +406,12 @@ def exec_circuit(
     outcomes: list[AssertionOutcome] = []
     for stmt in prog.statements:
         if not isinstance(stmt, (InitKet, InitPair)):
-            world = run_step(world, stmt, tol, outcomes)
+            try:
+                world = run_step(world, stmt, tol, outcomes)
+            except (protocols.ProtocolError, StateError) as err:
+                # the same error, of the same type, naming the statement's line
+                err.args = (f"line {stmt.line}: {err}",)
+                raise
             continue
         for w in _operands(stmt):
             if w in world.location:

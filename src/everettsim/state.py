@@ -7,16 +7,16 @@ equality checks are up to a complex scale, and probabilities are computed on
 normalized copies.
 
 A state may also be a batch: amplitudes of shape (B, 2^n), one state per
-row, all over the same wires. The kernels (``apply``, ``permute_wires``,
-the squared norms, ``norm_drift``, ``equal_up_to_phase``, ``fidelity``,
-``schmidt_factor``) work along the last axis, so one code path serves a
-single state and a batch, and return one value per element for a batch.
+row, all over the same wires. The kernels (``apply``, the squared norms,
+``norm_drift``, ``equal_up_to_phase``, ``fidelity``, ``schmidt_factor``)
+work along the last axis, so one code path serves a single state and a
+batch, and return one value per element for a batch.
 
 One helper, ``_bit_view``, owns the memory layout: it alone reshapes
 amplitudes to one axis of 2 per wire and transposes them, the wires a
-kernel names first. ``apply``, ``permute_wires``, ``schmidt_factor`` and
-``branch_decompose`` take their views from it, directly or through
-``_wire_view``; ``_pack`` is the one packing of bits into an index.
+kernel names first. ``apply``, ``schmidt_factor`` and ``branch_decompose``
+take their views from it, directly or through ``_wire_view``; ``_pack`` is
+the one packing of bits into an index.
 
 Everything here is an immutable value and every operation is a pure function,
 so states can be shared freely between threads.
@@ -24,16 +24,22 @@ so states can be shared freely between threads.
 A kernel over at least _SHARED amplitudes shares its pieces with one worker
 thread when the process may run on more than one core (``_share``): apply's
 slice moves and block-product chunks, and schmidt_factor's gather and large
-factor. Each piece makes the same numpy and BLAS calls on the same operands
-as one pass would, so sharing changes no bit. The worker starts on the first
-such call, calls only private helpers and numpy, and never builds a state.
+factor. The slice moves, gather and large factor are cut by one rule
+(``_split``); the chunks are the block product's own. Each piece makes the
+same numpy and BLAS calls on the same operands as one pass would, so
+sharing changes no bit. The worker is the one thread of a
+``ThreadPoolExecutor``, made on the first such call in each process (a
+forked child makes its own), never at import. The caller cancels the
+worker's share when the worker has not started it by the time the pieces
+run out, and waits for it otherwise. While the interpreter shuts down, as
+in an atexit handler, every piece runs on the caller. The worker calls only
+private helpers and numpy, and never builds a state.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -100,9 +106,9 @@ _CHUNK = 1 << 13
 # copies its input on the calling thread, and the worker's allocator arena
 # kept its 8 MiB copy, which raised wide's peak RSS from 104 to 113 MiB.
 _SHARED = 1 << 16
-# apply splits the slice moves of a signed permutation into pieces of about
-# this many amplitudes. At 20 wires 2**17 (8 pieces) was up to 15% faster
-# than 2**15 or 2**16 and as fast as 2**18 (sigma11, u_b, cu_sigma).
+# _split cuts a kernel into pieces of about this many amplitudes. At 20 wires
+# 2**17 (8 pieces) was up to 15% faster than 2**15 or 2**16 and as fast as
+# 2**18 (sigma11, u_b, cu_sigma).
 _PIECE = 1 << 17
 
 
@@ -326,66 +332,26 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return outer.reshape(batch + (-1,))
 
 
-class _Pieces:
-    """One kernel call's pieces, taken in turn from a shared counter by each thread working on them."""
-
-    def __init__(self, count: int, sharer: Callable[[], Callable[[int], None]]):
-        self.count = count
-        self.sharer: Callable[[], Callable[[int], None]] | None = sharer
-        # next() on an itertools.count is one C call: no piece is handed out twice
-        self.next = itertools.count().__next__
-        self.lock = threading.Lock()
-        # set by the worker when it starts, or by the caller when it cancels
-        self.claimed = False
-        self.done = threading.Event()
-        self.error: BaseException | None = None
-
-    def work(self) -> None:
-        """Run pieces until none is left; one that raises stops the other thread too."""
-        piece = self.sharer()
-        try:
-            i = self.next()
-            while i < self.count:
-                piece(i)
-                i = self.next()
-        except BaseException:
-            self.count = 0
-            raise
+# the executor of each process, by process id
+_pools: dict[int, object] = {}
 
 
-def _serve(inbox) -> None:
-    """The worker thread: work on each task the caller has not cancelled."""
-    while True:
-        task = inbox.get()
-        with task.lock:
-            if task.claimed:
-                continue
-            task.claimed = True
-        try:
-            task.work()
-        except BaseException as exc:  # re-raised in the caller
-            task.error = exc
-        finally:
-            task.done.set()
+def _executor():
+    """The one-thread executor that runs the worker's share of kernel pieces.
 
+    Made on first use in each process, so a forked child makes its own
+    rather than queue tasks for a thread it does not have.
+    """
+    pool = _pools.get(os.getpid())
+    if pool is None:
+        # imported here, so that importing everettsim imports nothing more
+        from concurrent.futures import ThreadPoolExecutor
 
-_worker_lock = threading.Lock()
-_worker: tuple[threading.Thread, object] | None = None
-
-
-def _inbox():
-    """The worker's queue of tasks, the worker started on first use (and again in a forked child)."""
-    global _worker
-    with _worker_lock:
-        if _worker is None or not _worker[0].is_alive():
-            # imported here, so that importing everettsim imports nothing more
-            import queue
-
-            inbox = queue.SimpleQueue()
-            thread = threading.Thread(target=_serve, args=(inbox,), name="everettsim-kernels", daemon=True)
-            thread.start()
-            _worker = (thread, inbox)
-        return _worker[1]
+        # setdefault is atomic: two first callers share the executor stored
+        # first, and the other, which never started a thread, is dropped
+        new = ThreadPoolExecutor(max_workers=1, thread_name_prefix="everettsim-kernels")
+        pool = _pools.setdefault(os.getpid(), new)
+    return pool
 
 
 def _cores() -> int:
@@ -401,32 +367,49 @@ def _share(count: int, amps: int, sharer: Callable[[], Callable[[int], None]]) -
 
     `sharer()` gives a thread its piece function, with any buffers of its
     own. Below _SHARED amplitudes, or on one core, the pieces run here in
-    order. Otherwise this thread and the worker take them in turn from a
-    shared counter; every piece runs exactly once, the same computation on
-    the same operands, so sharing changes no bit. If the worker has not
-    started when the pieces run out, the task is cancelled rather than
-    waited for, so a busy worker costs about the serial time. An exception
-    from a piece on either thread is raised here, after the worker is done.
+    order. Otherwise this thread and the worker, a ``ThreadPoolExecutor`` of
+    one thread, take them in turn from one iterator; every piece runs
+    exactly once, the same computation on the same operands, so sharing
+    changes no bit. When the pieces run out, the worker's task is cancelled
+    if it has not started (a busy worker then costs about the serial time),
+    and waited for if it has. A piece that raises leaves no piece for the
+    other thread, and its exception is raised here. While the interpreter
+    shuts down, as in an atexit handler, no thread starts and every piece
+    runs here.
     """
     if count < 2 or amps < _SHARED or _cores() < 2:
         piece = sharer()
         for i in range(count):
             piece(i)
         return
-    task = _Pieces(count, sharer)
-    _inbox().put(task)
+    # next() on a range iterator is one C call: no piece is handed out twice
+    pieces = iter(range(count))
+
+    def work() -> None:
+        piece = sharer()
+        try:
+            for i in pieces:
+                piece(i)
+        except BaseException:
+            # drain the pieces: the other thread stops after the one it holds
+            for _ in pieces:
+                pass
+            raise
+
     try:
-        task.work()
+        future = _executor().submit(work)
+    except RuntimeError:  # at interpreter shutdown neither the import nor a new task is allowed
+        work()
+        return
+    try:
+        work()
     finally:
-        with task.lock:
-            started, task.claimed = task.claimed, True
-        if started:
-            task.done.wait()
-        # the worker holds on to its last task, and a cancelled one waits in
-        # the inbox: neither may keep the kernel's arrays alive
-        task.sharer = None
-    if task.error is not None:
-        raise task.error
+        error = None if future.cancel() else future.exception()
+        # a cancelled task stays in the worker's queue: emptying the cell
+        # that work reads sharer from keeps it from holding the kernel's arrays
+        sharer = None
+    if error is not None:
+        raise error
 
 
 @lru_cache(maxsize=None)
@@ -436,7 +419,14 @@ def _bits(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _split(amps: int, axes: int) -> int:
-    """How many leading axes, of at most `axes`, split `amps` amplitudes into pieces of about _PIECE."""
+    """How many leading axes, of at most `axes`, split `amps` amplitudes into pieces of about _PIECE.
+
+    The one piece rule of apply's slice moves and schmidt_factor's gather and
+    large factor. A state of fewer than 2 * _PIECE amplitudes is one piece,
+    and runs inline, although _SHARED is lower: on a 2-core x86-64 VM two
+    pieces from _SHARED on made u_b on three of 16 and 17 wires 8% and 25%
+    faster, but made a one-wire schmidt_factor 11% and 3-4% slower.
+    """
     return min(axes, max(0, (amps // _PIECE).bit_length() - 1))
 
 
@@ -726,15 +716,6 @@ def norm_drift(before: PureState, after: PureState) -> float | np.ndarray:
         raise ZeroStateError("norm drift from a zero state is undefined")
     # n0 and n1 were summed 4**k0 and 4**k1 times too large
     return _per_state(abs(np.ldexp(n1, 2 * (k0 - k1)) - n0) / n0)
-
-
-def permute_wires(state: PureState, new_order: Sequence[str]) -> PureState:
-    """Same state with wires listed in a different order; each element's for a batch."""
-    new_order = tuple(new_order)
-    if sorted(new_order) != sorted(state.wires):
-        raise WireError(f"{new_order} is not a permutation of {state.wires}")
-    view = _wire_view(state, new_order, state.amps, "reordered")
-    return PureState._adopt(new_order, view.reshape(state.amps.shape[:-1] + (-1,)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 ``embed`` expands a gate to the full register space entry by entry from bit
 arithmetic, with no axis permutation, so it stays independent of the code
-path it is used to check.
+path it is used to check. ``permute_wires`` is the reference transpose.
 """
 
 from __future__ import annotations
@@ -41,6 +41,21 @@ def embed(matrix: np.ndarray, positions: list[int], n: int) -> np.ndarray:
                 row = (row << 1) | b
             full[row, col] += amp
     return full
+
+
+def permute_wires(s: state.PureState, order) -> state.PureState:
+    """The reference transpose: `s` with its wires listed in `order`, each element's for a batch.
+
+    One numpy transpose of the amplitudes as one axis per wire, found by
+    wire name, independent of the kernels' views.
+    """
+    order = tuple(order)
+    if sorted(order) != sorted(s.wires):
+        raise state.WireError(f"{order} is not a permutation of {s.wires}")
+    batch = s.amps.shape[:-1]
+    axes = tuple(range(len(batch))) + tuple(len(batch) + s.wires.index(w) for w in order)
+    amps = s.amps.reshape(batch + (2,) * s.n_wires).transpose(axes)
+    return state.PureState(order, amps.reshape(batch + (-1,)))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

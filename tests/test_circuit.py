@@ -131,6 +131,12 @@ def test_non_finite_amplitude_is_a_positioned_parse_error(statement, column):
     assert "non-finite amplitude" in err.value.message
 
 
+def test_repeated_pointer_wire_is_a_parse_error_at_the_second_wire():
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit("wire a @ Alice\nassert pointer a a = 00")
+    assert str(err.value) == "line 2, column 18: pointer wires must differ (expected a different label)"
+
+
 def test_duplicate_declaration_is_a_parse_error():
     with pytest.raises(CircuitParseError) as err:
         parse_circuit("wire c @ Alice\nwire c @ Bob")

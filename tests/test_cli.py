@@ -67,6 +67,25 @@ def test_run_with_locality_violation_exits_one(capsys, tmp_path):
     assert "cannot act on wire" in err
 
 
+def test_run_names_the_line_of_a_gate_on_another_agents_wire(capsys, tmp_path):
+    path = tmp_path / "f.ecirc"
+    path.write_text("wire a @ Alice\ninit a = |0>\n\ngate sigma00 a @ Bob\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"everettsim: {path}: line 4: Bob cannot act on wire 'a' held by Alice\n"
+
+
+def test_repeated_pointer_wire_exits_two_with_position(capsys, tmp_path):
+    path = tmp_path / "f.ecirc"
+    path.write_text("wire a @ Alice\ninit a = |0>\nassert pointer a a = 00\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"everettsim: {path}: line 3, column 18: pointer wires must differ (expected a different label)\n"
+    )
+
+
 def test_missing_file_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "no_such_file.ecirc"])

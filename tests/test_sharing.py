@@ -2,23 +2,29 @@
 
 A state of at least ``state._SHARED`` amplitudes runs the pieces of
 ``apply``, and of ``schmidt_factor``'s gather and large factor, on the
-calling thread and one worker thread, when the process may use two cores.
-These tests check that a piece's exception reaches the caller, that a busy
-worker costs no waiting, that the worker keeps no process alive, and that
-sharing moves no bit. The 20-wire tests of ``test_properties`` reach the
-shared path as well; CI runs that module once more on one core, where every
-piece runs inline.
+calling thread and the one thread of ``state._executor()``, when the
+process may use two cores. These tests check that every piece runs exactly
+once, also with several callers, that a piece's exception reaches the
+caller and stops the other thread, that a busy worker costs no waiting and
+its cancelled task holds no array, that the worker keeps no process alive,
+that atexit handlers and forked children can share, and that sharing moves
+no bit. The 20-wire tests of ``test_properties`` reach the shared path as
+well; CI runs both modules once more on one core, where every piece runs
+inline.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
+import hashlib
 import io
 import os
 import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -54,6 +60,48 @@ def test_a_piece_that_raises_is_raised_in_the_caller_and_the_next_call_works():
     assert sorted(seen) == list(range(16))
 
 
+def test_a_piece_that_raises_leaves_the_other_thread_no_piece():
+    seen = []
+
+    def piece(i):
+        # by piece 20 both threads are at work, where there are two cores
+        if i == 20:
+            raise RuntimeError("piece 20 failed")
+        seen.append(i)
+        time.sleep(0.002)
+
+    with pytest.raises(RuntimeError, match="piece 20 failed"):
+        state._share(200, 1 << 20, lambda: piece)
+    # the other thread stops after the piece it holds, not after all 179
+    assert len([i for i in seen if i > 20]) < 10
+
+
+def test_concurrent_callers_run_every_piece_exactly_once():
+    # more callers than cores, one worker, and a thread switch at nearly
+    # every bytecode: a piece handed out twice or lost shows in `seen`
+    wrong = []
+
+    def caller():
+        for _ in range(50):
+            seen = []
+            state._share(64, 1 << 20, lambda: seen.append)
+            if sorted(seen) != list(range(64)):
+                wrong.append(seen)
+
+    callers = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert wrong == []
+
+
 @TWO_CORES
 def test_a_piece_that_raises_on_the_worker_is_raised_in_the_caller():
     caller = threading.current_thread()
@@ -71,16 +119,25 @@ def test_a_piece_that_raises_on_the_worker_is_raised_in_the_caller():
     assert sorted(seen) == list(range(16))
 
 
-def test_a_busy_worker_does_not_hold_up_a_20_wire_apply(wide_state):
+@pytest.fixture
+def busy_worker():
+    """The worker, held by a task that blocks until the test ends."""
     started, release = threading.Event(), threading.Event()
 
-    def hold(i):
+    def hold():
         started.set()
         release.wait(120)
 
-    busy = state._Pieces(1, lambda: hold)
-    state._inbox().put(busy)
+    busy = state._executor().submit(hold)
     assert started.wait(10)
+    try:
+        yield
+    finally:
+        release.set()
+    busy.result(10)
+
+
+def test_a_busy_worker_does_not_hold_up_a_20_wire_apply(wide_state, busy_worker):
     cases = ((cu_meas(), ("w3", "w12", "w18", "w7")), (GATES["u_b"].build(), ("w3", "w12", "w18")))
     got = {}
     # on a thread of its own, so that an apply that waits for the worker fails the test
@@ -88,15 +145,39 @@ def test_a_busy_worker_does_not_hold_up_a_20_wire_apply(wide_state):
         target=lambda: got.update({targets: apply(gate, targets, wide_state).amps for gate, targets in cases}),
         daemon=True,
     )
-    try:
-        caller.start()
-        caller.join(60)
-        assert not caller.is_alive()
-    finally:
-        release.set()
-    assert busy.done.wait(10)
+    caller.start()
+    caller.join(60)
+    assert not caller.is_alive()
     for gate, targets in cases:
         assert got[targets].tobytes() == reference_apply(gate, targets, wide_state).tobytes()
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter that imports everettsim from this tree."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+# an 18-wire state and a cu_meas over it, shared on two cores
+SHARED_APPLY = (
+    "import numpy as np\n"
+    "from everettsim.gates import cu_meas\n"
+    "from everettsim.state import PureState, apply\n"
+    "amps = np.random.default_rng(16).standard_normal((1 << 18, 2)) @ (1, 1j)\n"
+    "s = PureState(tuple(f'w{i}' for i in range(18)), amps)\n"
+    "def shared_apply():\n"
+    "    return apply(cu_meas(), ('w2', 'w9', 'w17', 'w0'), s).amps.tobytes()\n"
+)
+
+
+def shared_apply_bytes() -> bytes:
+    scope: dict = {}
+    exec(SHARED_APPLY, scope)
+    return scope["shared_apply"]()
 
 
 def test_a_process_that_shared_a_kernel_exits():
@@ -109,13 +190,55 @@ def test_a_process_that_shared_a_kernel_exits():
         "apply(cu_meas(), ('w0', 'w5', 'w10', 'w19'), s)\n"
         "print(threading.active_count())\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
+    done = run_python(code)
     # the worker was running when the interpreter exited, where there are two cores
     assert int(done.stdout) == (2 if state._cores() > 1 else 1)
+
+
+@pytest.mark.parametrize("started", [False, True])
+def test_an_atexit_handler_runs_a_shared_apply(started):
+    # at interpreter shutdown the executor takes no task, and before its
+    # first use it cannot even be imported: either way the pieces run inline
+    code = SHARED_APPLY + (
+        "import atexit, hashlib\n"
+        "atexit.register(lambda: print(hashlib.sha256(shared_apply()).hexdigest(), flush=True))\n"
+    )
+    if started:
+        code += "shared_apply()\n"
+    done = run_python(code)
+    assert done.stdout.strip() == hashlib.sha256(shared_apply_bytes()).hexdigest(), done.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_shares_with_a_worker_of_its_own():
+    code = SHARED_APPLY + (
+        "import os, sys, threading, time\n"
+        "from everettsim import state\n"
+        "before = shared_apply()\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    threads = set()\n"
+        "    def piece(i):\n"
+        "        threads.add(threading.get_ident())\n"
+        "        time.sleep(0.005)\n"
+        "    state._share(100, 1 << 20, lambda: piece)\n"
+        "    same = shared_apply() == before\n"
+        "    sys.exit(0 if same and len(threads) == min(2, state._cores()) else 3)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+    )
+    assert run_python(code).stdout.strip() == "0"
+
+
+@TWO_CORES
+def test_a_share_cancelled_behind_a_busy_worker_keeps_no_array_alive(busy_worker):
+    s = PureState(tuple(f"w{i}" for i in range(17)), kernel_amps(np.random.default_rng(16), 1 << 17))
+    # 16 chunks of the block product, shared
+    out = apply(cu_meas(), ("w3", "w9", "w14", "w0"), s)
+    refs = weakref.ref(s.amps), weakref.ref(out.amps)
+    del s, out
+    gc.collect()
+    # the cancelled task is still queued behind the busy one
+    assert all(ref() is None for ref in refs)
 
 
 @pytest.mark.parametrize("position", [0, 12, 15, 19])
@@ -144,7 +267,7 @@ def test_verify_starts_no_thread(monkeypatch):
     def refuse():
         raise AssertionError("verify reached the shared path")
 
-    monkeypatch.setattr(state, "_inbox", refuse)
+    monkeypatch.setattr(state, "_executor", refuse)
     before = threading.active_count()
     with contextlib.redirect_stdout(io.StringIO()):
         results = verify.run_all()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import embed, random_amps, random_unitary, traced_peak
+from conftest import embed, permute_wires, random_amps, random_unitary, traced_peak
 
 from everettsim.gates import UnitaryGate, bell, sigma
 from everettsim.state import (
@@ -19,7 +19,6 @@ from everettsim.state import (
     fmt12,
     inner_product,
     norm_drift,
-    permute_wires,
     qubit,
     schmidt_factor,
     tensor,
