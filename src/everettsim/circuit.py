@@ -18,6 +18,14 @@ controls then the target), cu_meas (4, two pointer wires then the measured
 pair), u_b (3, two pointer wires then the target). Labels must be declared
 with `wire` before use; gate operand counts are checked at parse time.
 
+Each keyword has one parse function (`_parse_wire`, `_parse_init`,
+`_parse_gate`, `_parse_transfer`, `_parse_assert`). `parse_circuit` looks a
+line's first token up among them, calls that function and then checks that
+the line has ended; a wire is declared only once its whole line has parsed.
+Every failure is a CircuitParseError naming the line, the column and what
+was expected there. `KetExpr.source` is the one spelling of a ket, which
+`teleport_source` writes and the parser reads back to an equal KetExpr.
+
 Execution interprets statements in order against a ProtocolWorld: inits
 tensor wires into the state in statement order, gates are applied as the
 named agent (halting with LocalityError if the agent does not hold every
@@ -25,7 +33,9 @@ operand), and assertions are evaluated and recorded without halting.
 Every statement but an init runs through the step executor `run_step`,
 which the protocol runners also use on the gate and transfer statements of
 `superdense_source` and `teleport_source`, the protocol templates.
-Files use extension `.ecirc`, UTF-8, LF line endings.
+Files use extension `.ecirc`, UTF-8, LF line endings. The CLI drops a
+leading UTF-8 byte-order mark when it reads a file; `parse_circuit` takes
+its text as given, so a mark passed to it is an unknown statement.
 """
 
 from __future__ import annotations
@@ -95,18 +105,26 @@ class KetExpr:
     amp1: complex
 
     @property
-    def text(self) -> str:
+    def source(self) -> str:
+        """The program spelling: `|0>`, `|1>`, or `(re,im) |0> + (re,im) |1>`.
+
+        Each part is written as its float's repr, which reads back to the same float.
+        """
         if (self.amp0, self.amp1) == (1, 0):
             return "|0>"
         if (self.amp0, self.amp1) == (0, 1):
             return "|1>"
         def pair(a: complex) -> str:
-            return f"({_shortf(a.real)},{_shortf(a.imag)})"
-        return f"{pair(self.amp0)}|0>+{pair(self.amp1)}|1>"
+            return f"({float(a.real)!r},{float(a.imag)!r})"
+        return f"{pair(self.amp0)} |0> + {pair(self.amp1)} |1>"
 
+    @property
+    def text(self) -> str:
+        """`source` without spaces.
 
-def _shortf(x: float) -> str:
-    return repr(float(x))
+        Init trace labels, assertion details and diagrams print this form.
+        """
+        return self.source.replace(" ", "")
 
 
 @dataclass(frozen=True)
@@ -243,10 +261,6 @@ def _amp_value(cur: _Cursor, col: int, tok: str) -> complex:
     return value
 
 
-def _parse_amp(cur: _Cursor) -> complex:
-    return _amp_value(cur, *cur.take("(re,im) amplitude"))
-
-
 def _parse_ket(cur: _Cursor) -> KetExpr:
     col, tok = cur.take("ket expression")
     if tok == "|0>":
@@ -258,13 +272,91 @@ def _parse_ket(cur: _Cursor) -> KetExpr:
     amp0 = _amp_value(cur, col, tok)
     cur.literal("|0>")
     cur.literal("+")
-    amp1 = _parse_amp(cur)
+    amp1 = _amp_value(cur, *cur.take("(re,im) amplitude"))
     cur.literal("|1>")
     return KetExpr(amp0, amp1)
 
 
+def _parse_pair(cur: _Cursor, declared: set[str], role: str) -> tuple[str, str]:
+    """Two distinct declared labels; a repeated one is reported at its second use."""
+    first = _parse_label(cur, declared)
+    col = cur.column()
+    second = _parse_label(cur, declared)
+    if second == first:
+        raise cur.error(col, f"{role} wires must differ", "a different label")
+    return first, second
+
+
+def _parse_wire(cur: _Cursor, lineno: int, declared: set[str]) -> WireDecl:
+    col = cur.column()
+    label = _parse_label(cur, None)
+    if label in declared:
+        raise cur.error(col, f"wire {label!r} already declared", "a fresh label")
+    cur.literal("@")
+    return WireDecl(lineno, label, _parse_agent(cur))
+
+
+def _parse_init(cur: _Cursor, lineno: int, declared: set[str]) -> InitKet | InitPair:
+    if cur.peek() == "pair":
+        cur.take("'pair'")
+        wires = _parse_pair(cur, declared, "pair")
+        cur.literal("=")
+        cur.literal("bell")
+        return InitPair(lineno, wires, _parse_bit(cur), _parse_bit(cur))
+    wire = _parse_label(cur, declared)
+    cur.literal("=")
+    return InitKet(lineno, wire, _parse_ket(cur))
+
+
+def _parse_gate(cur: _Cursor, lineno: int, declared: set[str]) -> GateStatement:
+    col, name = cur.take("gate name")
+    if name not in GATES:
+        raise cur.error(col, f"unknown gate {name!r}", " | ".join(sorted(GATES)))
+    operands: list[str] = []
+    while cur.peek() is not None and cur.peek() != "@":
+        wcol = cur.column()
+        w = _parse_label(cur, declared)
+        if w in operands:
+            raise cur.error(wcol, f"repeated operand {w!r}", "distinct wires")
+        operands.append(w)
+    arity = GATES[name].arity
+    if len(operands) != arity:
+        raise cur.error(col, f"{name} takes {arity} wires, got {len(operands)}", f"{arity} operand(s)")
+    cur.literal("@")
+    return GateStatement(lineno, name, tuple(operands), _parse_agent(cur))
+
+
+def _parse_transfer(cur: _Cursor, lineno: int, declared: set[str]) -> TransferStatement:
+    wire = _parse_label(cur, declared)
+    cur.literal("->")
+    return TransferStatement(lineno, wire, _parse_agent(cur))
+
+
+def _parse_assert(cur: _Cursor, lineno: int, declared: set[str]) -> AssertPointer | AssertFactor:
+    col, what = cur.take("'pointer' or 'factor'")
+    if what == "pointer":
+        wires = _parse_pair(cur, declared, "pointer")
+        cur.literal("=")
+        bcol, btok = cur.take("two bits")
+        if len(btok) != 2 or any(ch not in "01" for ch in btok):
+            raise cur.error(bcol, f"{btok!r} is not a two-bit string", "e.g. 01")
+        return AssertPointer(lineno, wires, (int(btok[0]), int(btok[1])))
+    if what == "factor":
+        wire = _parse_label(cur, declared)
+        cur.literal("~")
+        return AssertFactor(lineno, wire, _parse_ket(cur))
+    raise cur.error(col, f"unknown assertion {what!r}", "'pointer' or 'factor'")
+
+
 def parse_circuit(source: str) -> CircuitProgram:
     """Parse a circuit program; deterministic single pass, first error wins."""
+    parsers = {
+        "wire": _parse_wire,
+        "init": _parse_init,
+        "gate": _parse_gate,
+        "transfer": _parse_transfer,
+        "assert": _parse_assert,
+    }
     registers: list[WireDecl] = []
     statements: list[Statement] = []
     declared: set[str] = set()
@@ -274,92 +366,18 @@ def parse_circuit(source: str) -> CircuitProgram:
         head = cur.peek()
         if head is None:
             continue
-        if head == "wire":
-            cur.take("'wire'")
-            col = cur.column()
-            label = _parse_label(cur, None)
-            if label in declared:
-                raise cur.error(col, f"wire {label!r} already declared", "a fresh label")
-            cur.literal("@")
-            agent = _parse_agent(cur)
-            cur.done()
-            declared.add(label)
-            registers.append(WireDecl(lineno, label, agent))
-        elif head == "init":
-            cur.take("'init'")
-            if cur.peek() == "pair":
-                cur.take("'pair'")
-                w1 = _parse_label(cur, declared)
-                col2 = cur.column()
-                w2 = _parse_label(cur, declared)
-                if w2 == w1:
-                    raise cur.error(col2, "pair wires must differ", "a different label")
-                cur.literal("=")
-                cur.literal("bell")
-                x = _parse_bit(cur)
-                y = _parse_bit(cur)
-                cur.done()
-                statements.append(InitPair(lineno, (w1, w2), x, y))
-            else:
-                wirelabel = _parse_label(cur, declared)
-                cur.literal("=")
-                expr = _parse_ket(cur)
-                cur.done()
-                statements.append(InitKet(lineno, wirelabel, expr))
-        elif head == "gate":
-            cur.take("'gate'")
-            col, name = cur.take("gate name")
-            if name not in GATES:
-                raise cur.error(col, f"unknown gate {name!r}", " | ".join(sorted(GATES)))
-            operands: list[str] = []
-            while cur.peek() is not None and cur.peek() != "@":
-                wcol = cur.column()
-                w = _parse_label(cur, declared)
-                if w in operands:
-                    raise cur.error(wcol, f"repeated operand {w!r}", "distinct wires")
-                operands.append(w)
-            arity = GATES[name].arity
-            if len(operands) != arity:
-                raise cur.error(
-                    col, f"{name} takes {arity} wires, got {len(operands)}", f"{arity} operand(s)"
-                )
-            cur.literal("@")
-            actor = _parse_agent(cur)
-            cur.done()
-            statements.append(GateStatement(lineno, name, tuple(operands), actor))
-        elif head == "transfer":
-            cur.take("'transfer'")
-            wirelabel = _parse_label(cur, declared)
-            cur.literal("->")
-            dest = _parse_agent(cur)
-            cur.done()
-            statements.append(TransferStatement(lineno, wirelabel, dest))
-        elif head == "assert":
-            cur.take("'assert'")
-            col, what = cur.take("'pointer' or 'factor'")
-            if what == "pointer":
-                w1 = _parse_label(cur, declared)
-                col2 = cur.column()
-                w2 = _parse_label(cur, declared)
-                if w2 == w1:
-                    raise cur.error(col2, "pointer wires must differ", "a different label")
-                cur.literal("=")
-                bcol, btok = cur.take("two bits")
-                if len(btok) != 2 or any(ch not in "01" for ch in btok):
-                    raise cur.error(bcol, f"{btok!r} is not a two-bit string", "e.g. 01")
-                cur.done()
-                statements.append(AssertPointer(lineno, (w1, w2), (int(btok[0]), int(btok[1]))))
-            elif what == "factor":
-                wirelabel = _parse_label(cur, declared)
-                cur.literal("~")
-                expr = _parse_ket(cur)
-                cur.done()
-                statements.append(AssertFactor(lineno, wirelabel, expr))
-            else:
-                raise cur.error(col, f"unknown assertion {what!r}", "'pointer' or 'factor'")
+        parse = parsers.get(head)
+        if parse is None:
+            raise cur.error(cur.column(), f"unknown statement {head!r}", "|".join(parsers))
+        cur.take(head)
+        stmt = parse(cur, lineno, declared)
+        cur.done()
+        if isinstance(stmt, WireDecl):
+            # declared only once its whole line has parsed
+            declared.add(stmt.label)
+            registers.append(stmt)
         else:
-            col = cur.tokens[0][0]
-            raise cur.error(col, f"unknown statement {head!r}", "wire|init|gate|transfer|assert")
+            statements.append(stmt)
 
     return CircuitProgram(tuple(registers), tuple(statements))
 
@@ -500,14 +518,7 @@ def superdense_source(p: int, q: int, expect: tuple[int, int]) -> str:
 
 def teleport_source(alpha: complex, beta: complex) -> str:
     """Program text for one teleportation run asserting Bob's factor."""
-    alpha = complex(alpha)
-    beta = complex(beta)
-    ket = KetExpr(alpha, beta).text
-    if ket not in ("|0>", "|1>"):
-        ket = (
-            f"({_shortf(alpha.real)},{_shortf(alpha.imag)}) |0> "
-            f"+ ({_shortf(beta.real)},{_shortf(beta.imag)}) |1>"
-        )
+    ket = KetExpr(complex(alpha), complex(beta)).source
     return _wire_lines(protocols.TELEPORT_WIRES) + (
         "init E1 = |0>\n"
         "init E2 = |0>\n"

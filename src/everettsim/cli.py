@@ -119,7 +119,8 @@ def _tolerance(default: float) -> float:
 
 def _read_file(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
+        # utf-8-sig drops one leading byte-order mark and is strict UTF-8 otherwise
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as err:
         print(f"everettsim: cannot read {path}: {err.strerror}", file=sys.stderr)

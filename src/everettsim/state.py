@@ -709,6 +709,7 @@ def fidelity(s1: PureState, s2: PureState) -> float | np.ndarray:
 
 def norm_drift(before: PureState, after: PureState) -> float | np.ndarray:
     """|<after|after> - <before|before>| / <before|before>, at any scale; per element for a batch."""
+    _check_same_wires(before, after)
     _check_same_batch(before, after)
     _, n0, k0 = _in_range(before)
     _, n1, k1 = _in_range(after)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import everettsim
 from everettsim import fixtures
@@ -153,6 +155,22 @@ def test_ket_expr_text_round_trips():
     assert KetExpr(1.0, 0.0).text == "|0>"
     assert KetExpr(0.0, 1.0).text == "|1>"
     assert KetExpr(complex(0.6, 0), complex(0, 0.8)).text == "(0.6,0.0)|0>+(0.0,0.8)|1>"
+
+
+FINITE = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(alpha=FINITE, beta=FINITE)
+def test_ket_source_is_the_one_spelling_of_a_ket(alpha, beta):
+    assume(alpha != 0 or beta != 0)
+    expr = KetExpr(alpha, beta)
+    parsed = parse_circuit(f"wire x @ Alice\ninit x = {expr.source}\n").statements[0]
+    assert parsed == InitKet(2, "x", expr)
+    assert expr.text == expr.source.replace(" ", "")
+    program = teleport_source(alpha, beta)
+    assert f"init u = {expr.source}\n" in program
+    assert f"assert factor b ~ {expr.source}\n" in program
 
 
 # --------------------------------------------------------------- execution

@@ -261,6 +261,16 @@ def test_non_utf8_file_exits_two(capsys, tmp_path):
     assert "not UTF-8" in err
 
 
+@pytest.mark.parametrize("verb", ["run", "render"])
+def test_a_leading_byte_order_mark_is_skipped(capsys, tmp_path, verb):
+    plain = fixture_file(tmp_path, fixtures.TELEPORT)
+    marked = tmp_path / "marked.ecirc"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+    want = run_cli(capsys, verb, plain)
+    assert want[0] == 0
+    assert run_cli(capsys, verb, str(marked)) == want
+
+
 def test_verify_output_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0

@@ -341,6 +341,15 @@ def test_norm_drift_is_relative_at_any_scale(scale):
         norm_drift(PureState(("a",), np.zeros(2)), before)
 
 
+# inner_product has its own: test_inner_product_requires_matching_wires
+@pytest.mark.parametrize("kernel", [equal_up_to_phase, fidelity, norm_drift])
+def test_a_state_pairs_only_with_one_on_the_same_wires(kernel):
+    with pytest.raises(WireError, match="wire mismatch"):
+        kernel(qubit("a", 1, 0), qubit("b", 1, 0))
+    with pytest.raises(WireError, match="wire mismatch"):
+        kernel(bell(0, 0, ("a", "b")), bell(0, 0, ("b", "a")))
+
+
 # ---------------------------------------------------------- schmidt factor
 
 
