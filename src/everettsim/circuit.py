@@ -401,13 +401,13 @@ def exec_circuit(
 ) -> tuple[protocols.ProtocolWorld, list[AssertionOutcome]]:
     """Interpret a program; returns the final world and assertion outcomes.
 
-    Assertions are recorded and execution continues past failures; locality
-    violations and malformed runtime states raise and halt, their message
-    prefixed with the statement's line. A program that
-    initializes more than MAX_WIRES wires halts before its first statement,
-    naming the init that crosses the limit, so no part of it is allocated.
-    An init whose product with the world state leaves the float range halts
-    there, naming its line.
+    Assertions are recorded and execution continues past failures. Any
+    other failure of a statement (a locality violation, a wire initialized
+    twice or used before its init, a state that leaves the float range)
+    halts with its error, of the same type, its message prefixed with the
+    statement's line. A program that initializes more than MAX_WIRES wires
+    halts before its first statement, naming the init that crosses the
+    limit, so no part of it is allocated.
     """
     planned: set[str] = set()
     for stmt in prog.statements:
@@ -423,28 +423,24 @@ def exec_circuit(
     agents = {decl.label: protocols.Agent(decl.agent) for decl in prog.registers}
     outcomes: list[AssertionOutcome] = []
     for stmt in prog.statements:
-        if not isinstance(stmt, (InitKet, InitPair)):
-            try:
-                world = run_step(world, stmt, tol, outcomes)
-            except (protocols.ProtocolError, StateError) as err:
-                # the same error, of the same type, naming the statement's line
-                err.args = (f"line {stmt.line}: {err}",)
-                raise
-            continue
-        for w in _operands(stmt):
-            if w in world.location:
-                raise CircuitError(f"line {stmt.line}: wire {w!r} initialized twice")
-        if isinstance(stmt, InitPair):
-            piece, label = bell(stmt.x, stmt.y, stmt.wires), f"bell({stmt.x},{stmt.y})"
-        elif stmt.expr.amp0 == 0 and stmt.expr.amp1 == 0:
-            raise CircuitError(f"line {stmt.line}: zero initializer for {stmt.wire!r}")
-        else:
-            piece, label = qubit(stmt.wire, stmt.expr.amp0, stmt.expr.amp1), stmt.expr.text
         try:
+            if not isinstance(stmt, (InitKet, InitPair)):
+                world = run_step(world, stmt, tol, outcomes)
+                continue
+            for w in _operands(stmt):
+                if w in world.location:
+                    raise CircuitError(f"wire {w!r} initialized twice")
+            if isinstance(stmt, InitPair):
+                piece, label = bell(stmt.x, stmt.y, stmt.wires), f"bell({stmt.x},{stmt.y})"
+            elif stmt.expr.amp0 == 0 and stmt.expr.amp1 == 0:
+                raise CircuitError(f"zero initializer for {stmt.wire!r}")
+            else:
+                piece, label = qubit(stmt.wire, stmt.expr.amp0, stmt.expr.amp1), stmt.expr.text
             world = protocols.init_wires(world, piece, {w: agents[w] for w in piece.wires}, label)
-        except StateError as err:
-            # the product with the world state left the float range
-            raise CircuitError(f"line {stmt.line}: {err}") from None
+        except (CircuitError, protocols.ProtocolError, StateError) as err:
+            # the same error, of the same type, naming the statement's line
+            err.args = (f"line {stmt.line}: {err}",)
+            raise
     return world, outcomes
 
 
@@ -455,11 +451,11 @@ def run_step(
 
     The gate is built from GATES when its step runs. An assertion appends
     its outcome to `outcomes` and never halts; a wire that no init has put
-    into the world raises CircuitError.
+    into the world raises CircuitError. The caller names the line.
     """
     for w in _operands(stmt):
         if w not in world.location:
-            raise CircuitError(f"line {stmt.line}: wire {w!r} used before init")
+            raise CircuitError(f"wire {w!r} used before init")
     if isinstance(stmt, GateStatement):
         gate = GATES[stmt.name].build()
         return protocols.apply_local(world, gate, stmt.wires, protocols.Agent(stmt.actor))
@@ -493,7 +489,7 @@ def run_step(
             )
         outcomes.append(AssertionOutcome(stmt.line, "factor", passed, detail))
     else:  # pragma: no cover - inits never reach the step executor
-        raise CircuitError(f"line {stmt.line}: unhandled statement {stmt!r}")
+        raise CircuitError(f"unhandled statement {stmt!r}")
     return world
 
 

@@ -8,12 +8,14 @@
 
 Exit codes: 0 success, 1 failed assertions or a protocol, locality or state
 error while running, 2 usage errors, non-finite amplitudes, unreadable,
-non-UTF-8 or unparseable files. Every error is one line on stderr. Flags
-must be spelled in full: `--al` is not `--alpha`. The environment variable
-EVERETT_TOL (a decimal literal in (0, 1e-6], default 1e-12 for protocol
-state checks and 1e-10 for circuit assertions) overrides the comparison
-tolerance; `verify` always runs at its pinned tolerances. Trace line and
-JSON record layouts are documented in `everettsim.reports`.
+non-UTF-8 or unparseable files, or output that stdout's encoding cannot
+write. Every error is one line on stderr; stdout closed early by its reader
+(`| head`) exits 1 in silence. Flags must be spelled in full: `--al` is not
+`--alpha`. The environment variable EVERETT_TOL (a decimal literal in
+(0, 1e-6], default 1e-12 for protocol state checks and 1e-10 for circuit
+assertions) overrides the comparison tolerance; `verify` always runs at its
+pinned tolerances. Trace line and JSON record layouts are documented in
+`everettsim.reports`.
 """
 
 from __future__ import annotations
@@ -142,11 +144,23 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_attach_negative_amplitudes(argv))
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        # a reader that has gone shows here, not in the flush at exit
+        sys.stdout.flush()
+        return code
     except (ProtocolError, CircuitError, StateError) as err:
         where = f"{args.file}: " if "file" in args else ""
         print(f"everettsim: {where}{err}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: with stdout on devnull the flush at exit
+        # cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except UnicodeEncodeError as err:
+        print(f"everettsim: cannot write the output in the {err.encoding} encoding",
+              file=sys.stderr)
+        return 2
 
 
 def _dispatch(args: argparse.Namespace) -> int:

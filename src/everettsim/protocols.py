@@ -3,9 +3,11 @@
 A ProtocolWorld is a global pure state plus a map saying which agent holds
 which wire and an append-only event trace. Gates may only touch wires that
 are co-located at the acting agent; moving a qubit between agents is an
-explicit Transfer event. Classical knowledge, measurement, and signaling all
-appear as state preparation, controlled unitaries, and wire transfers, so a
-whole protocol is a single deterministic unitary evolution.
+explicit Transfer event. An event carries no sequence number of its own:
+its index in the trace is its number, which ``audit_locality`` and the
+reports print. Classical knowledge, measurement, and signaling all appear
+as state preparation, controlled unitaries, and wire transfers, so a whole
+protocol is a single deterministic unitary evolution.
 
 Superdense coding: two knowledge wires (c, d) and Alice's half (a) of a
 shared pair are encoded with ``cu_sigma``; wire a crosses to Bob; Bob's
@@ -91,7 +93,6 @@ def _check_each(ok, describe: Callable[[int], str], error: type = ProtocolError)
 
 @dataclass(frozen=True)
 class InitEvent:
-    seq: int
     wires: tuple[str, ...]
     placements: tuple[tuple[str, str], ...]
     state: str
@@ -100,8 +101,6 @@ class InitEvent:
 
     def record(self) -> dict:
         return {
-            "event": self.kind,
-            "seq": self.seq,
             "wires": list(self.wires),
             "locations": {w: a for w, a in self.placements},
             "state": self.state,
@@ -110,7 +109,6 @@ class InitEvent:
 
 @dataclass(frozen=True)
 class GateEvent:
-    seq: int
     gate: str
     wires: tuple[str, ...]
     actor: str
@@ -118,18 +116,11 @@ class GateEvent:
     kind = "Gate"
 
     def record(self) -> dict:
-        return {
-            "event": self.kind,
-            "seq": self.seq,
-            "gate": self.gate,
-            "wires": list(self.wires),
-            "actor": self.actor,
-        }
+        return {"gate": self.gate, "wires": list(self.wires), "actor": self.actor}
 
 
 @dataclass(frozen=True)
 class TransferEvent:
-    seq: int
     wire: str
     source: str
     dest: str
@@ -137,18 +128,11 @@ class TransferEvent:
     kind = "Transfer"
 
     def record(self) -> dict:
-        return {
-            "event": self.kind,
-            "seq": self.seq,
-            "wire": self.wire,
-            "from": self.source,
-            "to": self.dest,
-        }
+        return {"wire": self.wire, "from": self.source, "to": self.dest}
 
 
 @dataclass(frozen=True)
 class DecomposeEvent:
-    seq: int
     pointer: tuple[str, ...]
     branches: tuple[tuple[str, float, float], ...]  # (label, raw, normalized)
 
@@ -156,8 +140,6 @@ class DecomposeEvent:
 
     def record(self) -> dict:
         return {
-            "event": self.kind,
-            "seq": self.seq,
             "pointer": list(self.pointer),
             "branches": [
                 {"label": label, "raw": raw, "weight": weight}
@@ -200,7 +182,6 @@ def init_wires(
     for w, agent in placements.items():
         location[w] = agent
     event = InitEvent(
-        seq=len(world.trace),
         wires=piece.wires,
         placements=tuple((w, placements[w].value) for w in piece.wires),
         state=label,
@@ -213,7 +194,7 @@ def transfer(world: ProtocolWorld, wire: str, to: Agent) -> ProtocolWorld:
     source = world.holder(wire)
     location = dict(world.location)
     location[wire] = to
-    event = TransferEvent(len(world.trace), wire, source.value, to.value)
+    event = TransferEvent(wire, source.value, to.value)
     return ProtocolWorld(world.state, location, world.trace + (event,))
 
 
@@ -232,7 +213,7 @@ def apply_local(
     _check_each(
         norm_drift(world.state, state) <= 1e-9, lambda i: _norm_message(gate, world.state, i)
     )
-    event = GateEvent(len(world.trace), gate.name or f"U{gate.arity}", targets, actor.value)
+    event = GateEvent(gate.name or f"U{gate.arity}", targets, actor.value)
     return ProtocolWorld(state, world.location, world.trace + (event,))
 
 
@@ -257,7 +238,6 @@ def decompose_pointer(
     """Branch-decompose on pointer wires and record the branch table."""
     decomp = branch_decompose(world.state, pointer, tol=tol)
     event = DecomposeEvent(
-        seq=len(world.trace),
         pointer=decomp.pointer,
         branches=tuple((b.label, b.raw_weight, b.weight) for b in decomp.branches),
     )
@@ -272,7 +252,7 @@ def audit_locality(trace: Iterable[Event]) -> int:
     """
     location: dict[str, str] = {}
     checked = 0
-    for event in trace:
+    for seq, event in enumerate(trace):
         if isinstance(event, InitEvent):
             location.update(dict(event.placements))
         elif isinstance(event, TransferEvent):
@@ -283,7 +263,7 @@ def audit_locality(trace: Iterable[Event]) -> int:
             for w in event.wires:
                 if location.get(w) != event.actor:
                     raise LocalityError(
-                        f"event {event.seq}: {event.actor} acted on wire {w!r} "
+                        f"event {seq}: {event.actor} acted on wire {w!r} "
                         f"held by {location.get(w)}"
                     )
             checked += 1

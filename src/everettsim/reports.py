@@ -2,7 +2,8 @@
 
 Two parallel formats with identical numbers:
 
-Text trace lines, one event per line, space separated fields:
+Text trace lines, one event per line, space separated fields; <seq> is the
+event's index in the trace, as is a JSON trace record's "seq":
 
     <seq> Init wires=<w,...> at=<w:agent,...> state=<label>
     <seq> Gate name=<gate> wires=<w,...> actor=<agent>
@@ -49,19 +50,19 @@ def json_line(record: dict) -> str:
     return json.dumps(_jnum(record))
 
 
-def event_line(event: Event) -> str:
+def event_line(seq: int, event: Event) -> str:
     if isinstance(event, InitEvent):
         at = ",".join(f"{w}:{a}" for w, a in event.placements)
-        return f"{event.seq} Init wires={','.join(event.wires)} at={at} state={event.state}"
+        return f"{seq} Init wires={','.join(event.wires)} at={at} state={event.state}"
     if isinstance(event, GateEvent):
-        return f"{event.seq} Gate name={event.gate} wires={','.join(event.wires)} actor={event.actor}"
+        return f"{seq} Gate name={event.gate} wires={','.join(event.wires)} actor={event.actor}"
     if isinstance(event, TransferEvent):
-        return f"{event.seq} Transfer wire={event.wire} from={event.source} to={event.dest}"
+        return f"{seq} Transfer wire={event.wire} from={event.source} to={event.dest}"
     if isinstance(event, DecomposeEvent):
         branches = ";".join(
             f"{label}:{fmt12(raw)}:{fmt12(weight)}" for label, raw, weight in event.branches
         )
-        return f"{event.seq} Decompose pointer={','.join(event.pointer)} branches={branches}"
+        return f"{seq} Decompose pointer={','.join(event.pointer)} branches={branches}"
     raise TypeError(f"unknown event {event!r}")
 
 
@@ -87,9 +88,14 @@ def _input_json(a: complex) -> list[float]:
     return [x if x and not round(x, 12) else _jnum(x) for x in (a.real, a.imag)]
 
 
+def _trace_records(events: Iterable[Event]) -> list[str]:
+    """One JSON record per event, its index in the trace as its "seq"."""
+    return [json_line({"event": e.kind, "seq": i, **e.record()}) for i, e in enumerate(events)]
+
+
 def _trace_lines(events: Iterable[Event], final_state: PureState) -> list[str]:
     lines = ["trace:"]
-    lines += [event_line(e) for e in events]
+    lines += [event_line(i, e) for i, e in enumerate(events)]
     lines.append("final state:")
     lines += dump_state(final_state).splitlines()
     return lines
@@ -100,7 +106,7 @@ def superdense_lines(
 ) -> list[str]:
     branches = result.decomposition.branches
     if json_mode:
-        lines = [json_line(e.record()) for e in result.world.trace] if trace else []
+        lines = _trace_records(result.world.trace) if trace else []
         summary = {
             "event": "Summary",
             "verb": "superdense",
@@ -142,7 +148,7 @@ def teleport_lines(result: TeleportResult, json_mode: bool, trace: bool) -> list
     alpha, beta = result.input
     b0, b1 = result.bob_qubit.amps
     if json_mode:
-        lines = [json_line(e.record()) for e in result.world.trace] if trace else []
+        lines = _trace_records(result.world.trace) if trace else []
         summary = {
             "event": "Summary",
             "verb": "teleport",

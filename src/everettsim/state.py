@@ -253,8 +253,17 @@ def _pack(bits: Sequence[int], n: int) -> int:
     return idx
 
 
+def _check_width(n_wires: int) -> None:
+    if n_wires > MAX_WIRES:
+        raise StateError(f"a dense state of {n_wires} wires exceeds the limit of {MAX_WIRES} wires")
+
+
 def basis_state(wires: Sequence[str], bits: Sequence[int]) -> PureState:
-    """|bits> over the given wires, e.g. basis_state(('a','b'), (1,0)) = |10>."""
+    """|bits> over the given wires, e.g. basis_state(('a','b'), (1,0)) = |10>.
+
+    More than MAX_WIRES wires raise StateError before anything is allocated.
+    """
+    _check_width(len(wires))
     idx = _pack(bits, len(wires))
     amps = np.zeros(1 << len(wires), dtype=complex)
     amps[idx] = 1.0
@@ -284,10 +293,7 @@ def tensor(*states: PureState) -> PureState:
         if overlap:
             raise WireError(f"duplicate wire labels across factors: {sorted(overlap)}")
         wires = wires + s.wires
-    if len(wires) > MAX_WIRES:
-        raise StateError(
-            f"a dense state of {len(wires)} wires exceeds the limit of {MAX_WIRES} wires"
-        )
+    _check_width(len(wires))
     amps = states[0].amps
     with np.errstate(all="ignore"):
         for s in states[1:]:
@@ -592,18 +598,14 @@ def _move(src: np.ndarray, entry: complex, dst: np.ndarray) -> None:
 
 def inner_product(s1: PureState, s2: PureState) -> complex:
     """<s1|s2>, conjugate-linear in the first argument."""
-    _check_same_wires(s1, s2)
-    _check_same_batch(s1, s2)
+    _check_pair(s1, s2)
     return _per_state(_vdot(s1.amps, s2.amps))
 
 
-def _check_same_wires(s1: PureState, s2: PureState) -> None:
+def _check_pair(s1: PureState, s2: PureState) -> None:
+    """The same wires in the same order; a batch pairs with a single state or a batch of its size."""
     if s1.wires != s2.wires:
         raise WireError(f"wire mismatch: {s1.wires} vs {s2.wires}")
-
-
-def _check_same_batch(s1: PureState, s2: PureState) -> None:
-    """A batch pairs with a single state or with a batch of the same size."""
     b1, b2 = s1.amps.shape[:-1], s2.amps.shape[:-1]
     if b1 and b2 and b1 != b2:
         raise StateError(f"batch size mismatch: {b1[0]} vs {b2[0]}")
@@ -683,8 +685,7 @@ def _overlap(s1: PureState, s2: PureState, zero_message: str) -> tuple:
     a2, n2, _ = _in_range(s2)
     if not (_all(n1 != 0.0) and _all(n2 != 0.0)):
         raise ZeroStateError(zero_message)
-    _check_same_wires(s1, s2)
-    _check_same_batch(s1, s2)
+    _check_pair(s1, s2)
     ip = _vdot(a1, a2)
     # libm's hypot and pow, as Python's abs(complex) ** 2 has them: np.abs and
     # ** round differently in the last bit, and printed fidelities show it
@@ -709,8 +710,7 @@ def fidelity(s1: PureState, s2: PureState) -> float | np.ndarray:
 
 def norm_drift(before: PureState, after: PureState) -> float | np.ndarray:
     """|<after|after> - <before|before>| / <before|before>, at any scale; per element for a batch."""
-    _check_same_wires(before, after)
-    _check_same_batch(before, after)
+    _check_pair(before, after)
     _, n0, k0 = _in_range(before)
     _, n1, k1 = _in_range(after)
     if not _all(n0 != 0.0):

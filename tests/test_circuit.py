@@ -26,6 +26,7 @@ from everettsim.circuit import (
     teleport_source,
 )
 from everettsim.protocols import LocalityError, run_superdense, run_teleport
+from everettsim.state import StateError
 
 DECODE = {(0, 0): (0, 0), (0, 1): (1, 0), (1, 0): (0, 1), (1, 1): (1, 1)}
 
@@ -267,3 +268,10 @@ def test_zero_initializer_is_an_execution_error():
     source = "wire c @ Alice\ninit c = (0,0) |0> + (0,0) |1>"
     with pytest.raises(CircuitError):
         exec_circuit(parse_circuit(source))
+
+
+def test_an_init_past_the_float_range_keeps_its_state_error_and_names_its_line():
+    lines = [f"wire {w} @ Alice" for w in "xyz"]
+    lines += [f"init {w} = (1e150,0) |0> + (1e150,0) |1>" for w in "xyz"]
+    with pytest.raises(StateError, match="^line 6: tensor product overflows the float range$"):
+        exec_circuit(parse_circuit("\n".join(lines)))

@@ -136,12 +136,15 @@ def test_json_output_is_parseable_and_matches_human_numbers(capsys):
     assert summary["schmidt_rank_b_cut"] == 1
 
 
-def test_json_trace_records_have_event_and_seq(capsys):
-    _, out, _ = run_cli(capsys, "superdense", "--p", "1", "--q", "1", "--json", "--trace")
+@pytest.mark.parametrize("argv,events", [
+    (("superdense", "--p", "1", "--q", "1"), ["Init", "Gate", "Transfer", "Gate", "Decompose"]),
+    (("teleport", "--alpha", "0.6,0", "--beta", "0,0.8"),
+     ["Init", "Gate", "Transfer", "Transfer", "Gate"]),
+], ids=["superdense", "teleport"])
+def test_json_trace_records_have_event_and_seq(capsys, argv, events):
+    _, out, _ = run_cli(capsys, *argv, "--json", "--trace")
     records = [json.loads(line) for line in out.splitlines()]
-    assert [r["event"] for r in records] == [
-        "Init", "Gate", "Transfer", "Gate", "Decompose", "Summary"
-    ]
+    assert [r["event"] for r in records] == events + ["Summary"]
     assert [r["seq"] for r in records[:-1]] == [0, 1, 2, 3, 4]
 
 
@@ -277,16 +280,47 @@ def test_verify_output_matches_golden(capsys):
     assert out == (GOLDEN / "verify.txt").read_text(encoding="utf-8")
 
 
-def test_python_m_everettsim_verify_matches_golden():
-    # a fresh interpreter, importing the package this suite imports
+def child_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports the package this suite imports."""
     src = str(Path(everettsim.__file__).parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+def test_python_m_everettsim_verify_matches_golden():
     done = subprocess.run(
-        [sys.executable, "-m", "everettsim", "verify"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "everettsim", "verify"], capture_output=True, text=True,
+        env=child_env(),
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == (GOLDEN / "verify.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("verb", ["run", "render"])
+def test_a_reader_that_stops_early_gets_no_traceback(tmp_path, verb):
+    # 5,000 assertions print far more than a pipe buffers, so the write that
+    # finds the pipe closed happens while the command is still printing
+    lines = [f"wire w{i} @ Alice" for i in range(3)] + [f"init w{i} = |0>" for i in range(3)]
+    path = tmp_path / "long.ecirc"
+    path.write_text("\n".join(lines + ["assert factor w0 ~ |0>"] * 5000) + "\n", encoding="utf-8")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "everettsim", verb, str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    assert (child.wait(), err) == (1, b"")
+
+
+def test_output_the_encoding_cannot_write_exits_two_with_one_line(tmp_path):
+    # the diagram's σ and box-drawing characters have no latin-1 encoding
+    done = subprocess.run(
+        [sys.executable, "-m", "everettsim", "render", fixture_file(tmp_path, fixtures.TELEPORT)],
+        capture_output=True, text=True, env=child_env(PYTHONIOENCODING="latin-1"),
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "everettsim: cannot write the output in the latin-1 encoding\n"
 
 
 @pytest.mark.parametrize("alpha,beta,bob", [

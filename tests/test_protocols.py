@@ -408,13 +408,13 @@ def test_audit_accepts_protocol_traces():
 
 def test_audit_flags_a_tampered_trace():
     trace = (
-        InitEvent(0, ("a", "b"), (("a", "Alice"), ("b", "Bob")), "pair"),
-        GateEvent(1, "cu_meas", ("a", "b"), "Bob"),
+        InitEvent(("a", "b"), (("a", "Alice"), ("b", "Bob")), "pair"),
+        GateEvent("cu_meas", ("a", "b"), "Bob"),
     )
-    with pytest.raises(LocalityError):
+    with pytest.raises(LocalityError, match="event 1: Bob acted on wire 'a' held by Alice"):
         audit_locality(trace)
 
 
 def test_audit_flags_transfer_of_undeclared_wire():
     with pytest.raises(LocalityError):
-        audit_locality((TransferEvent(0, "a", "Alice", "Bob"),))
+        audit_locality((TransferEvent("a", "Alice", "Bob"),))

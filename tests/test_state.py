@@ -119,6 +119,14 @@ def test_tensor_refuses_a_state_wider_than_max_wires(small_wire_limit):
     assert traced_peak() < 2**20
 
 
+def test_basis_state_refuses_a_state_wider_than_max_wires(small_wire_limit):
+    n = small_wire_limit + 1
+    with pytest.raises(StateError, match=f"{n} wires exceeds the limit of {small_wire_limit}"):
+        basis_state(tuple(f"w{i}" for i in range(n)), (0,) * n)
+    # the state would take 2**17 amplitudes, 2 MiB, and PureState a copy as large
+    assert traced_peak() < 2**20
+
+
 @pytest.mark.parametrize("batch", [False, True])
 def test_tensor_refuses_a_product_that_overflows(batch):
     big = [qubit(w, 1e150, 1e150) for w in "abc"]
