@@ -481,6 +481,10 @@ def run_step(
         if rank != 1 or factors is None:
             passed = False
             detail = f"not a product across {stmt.wire!r} (rank {rank})"
+        elif stmt.expr.amp0 == 0 and stmt.expr.amp1 == 0:
+            # a zero ket is no state to compare with: a failed assertion, not a halt
+            passed = False
+            detail = f"factor on {stmt.wire!r} cannot be compared with the zero ket {stmt.expr.text}"
         else:
             target = qubit(stmt.wire, stmt.expr.amp0, stmt.expr.amp1)
             passed = equal_up_to_phase(factors[1], target, tol)

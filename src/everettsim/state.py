@@ -23,11 +23,12 @@ so states can be shared freely between threads.
 
 A kernel over at least _SHARED amplitudes shares its pieces with one worker
 thread when the process may run on more than one core (``_share``): apply's
-slice moves and block-product chunks, and schmidt_factor's gather and large
-factor. The slice moves, gather and large factor are cut by one rule
-(``_split``); the chunks are the block product's own. Each piece makes the
-same numpy and BLAS calls on the same operands as one pass would, so
-sharing changes no bit. The worker is the one thread of a
+slice moves and block-product chunks, and schmidt_factor's first TSQR level
+(two halves, each gathered and factored by one thread) and large factor.
+The slice moves, the large factor and whether TSQR's first level is halved
+follow one rule (``_split``); the chunks are the block product's own. Each
+piece makes the same numpy and BLAS calls on the same operands as one pass
+would, so sharing changes no bit. The worker is the one thread of a
 ``ThreadPoolExecutor``, made on the first such call in each process (a
 forked child makes its own), never at import. The caller cancels the
 worker's share when the worker has not started it by the time the pieces
@@ -96,15 +97,19 @@ _ROW_CHUNK = 1 << 13
 # 2**12.
 _CHUNK = 1 << 13
 # From this many amplitudes (counted over a batch) apply, and schmidt_factor's
-# gather and large factor, share their pieces between the calling thread and
-# one worker thread, when the process may run on more than one core. On a
-# 2-core x86-64 VM, cu_meas took 279 us inline and 443 us shared at 2**14
-# amplitudes, 495 and 484 us at 2**15, 928 and 731 us at 2**16. verify's
-# largest call has 32,000 amplitudes.
+# first TSQR level and large factor, share their pieces between the calling
+# thread and one worker thread, when the process may run on more than one
+# core. On a 2-core x86-64 VM, cu_meas took 279 us inline and 443 us shared
+# at 2**14 amplitudes, 495 and 484 us at 2**15, 928 and 731 us at 2**16.
+# verify's largest call has 32,000 amplitudes.
 # _sum_sq stays on one thread: split over two it took 0.72 ms against
-# 0.67 ms at 2**20 amplitudes. So do TSQR's QR levels: numpy's stacked QR
-# copies its input on the calling thread, and the worker's allocator arena
-# kept its 8 MiB copy, which raised wide's peak RSS from 104 to 113 MiB.
+# 0.67 ms at 2**20 amplitudes. TSQR's first level runs as two halves, one
+# np.linalg.qr call each: at 20 wires (512 blocks of 1024x2) that took
+# 2.2 ms against 3.7 ms as one call, where eight pieces of 64 blocks took
+# 3.4 ms. numpy's QR copies its input on the thread that calls it, and the
+# worker's 8 MiB copy stays in that thread's malloc arena, which raised
+# wide's peak RSS from 110 to 118 MiB. The later levels, a few small
+# blocks, stay on the caller.
 _SHARED = 1 << 16
 # _split cuts a kernel into pieces of about this many amplitudes. At 20 wires
 # 2**17 (8 pieces) was up to 15% faster than 2**15 or 2**16 and as fast as
@@ -427,11 +432,12 @@ def _bits(m: int) -> tuple[tuple[int, ...], ...]:
 def _split(amps: int, axes: int) -> int:
     """How many leading axes, of at most `axes`, split `amps` amplitudes into pieces of about _PIECE.
 
-    The one piece rule of apply's slice moves and schmidt_factor's gather and
-    large factor. A state of fewer than 2 * _PIECE amplitudes is one piece,
-    and runs inline, although _SHARED is lower: on a 2-core x86-64 VM two
-    pieces from _SHARED on made u_b on three of 16 and 17 wires 8% and 25%
-    faster, but made a one-wire schmidt_factor 11% and 3-4% slower.
+    The one piece rule of apply's slice moves and schmidt_factor's large
+    factor; a cut it splits at all has TSQR's first level in two halves. A
+    state of fewer than 2 * _PIECE amplitudes is one piece, and runs inline,
+    although _SHARED is lower: on a 2-core x86-64 VM two pieces from _SHARED
+    on made u_b on three of 16 and 17 wires 8% and 25% faster, but made a
+    one-wire schmidt_factor 11% and 3-4% slower.
     """
     return min(axes, max(0, (amps // _PIECE).bit_length() - 1))
 
@@ -755,9 +761,14 @@ def schmidt_factor(
     the same order, wherever the cut's wires sit, so the rank and the small
     factor do not depend on the layout. The large factor may differ in its
     last bits: BLAS sums the product in an order that follows the operand's
-    layout, a view of the amplitudes or a gather. The gather and the large
-    factor run in pieces of the stack of row blocks through ``_share``, each
-    piece the calls one pass would make on its blocks.
+    layout, a view of the amplitudes or a gather. Where ``_split`` cuts the
+    stack of row blocks into pieces, TSQR's first level runs as two halves
+    of the stack through ``_share``: each thread gathers its half, where the
+    stack is no view, and factors it with one ``np.linalg.qr`` call into an
+    array the caller owns, and ``_reduce_rows`` goes on from those R factors
+    on the caller. The large factor runs in those pieces. Each half or piece
+    makes the calls one pass would make on its blocks, so neither the rank
+    nor a factor moves a bit.
     """
     if set(cut.left) | set(cut.right) != set(state.wires):
         raise WireError("cut does not cover exactly the state's wires")
@@ -775,13 +786,30 @@ def schmidt_factor(
     blocks, gather = _row_blocks(state, scaled, right_wires if flip else left_wires)
     block, cols = blocks.shape[-2:]
     stack = blocks.shape[len(batch) : -2]
-    # the gather and the large factor run over pieces of the stack of row
-    # blocks, split on its first axes
+    # the large factor runs over pieces of the stack of row blocks, split on
+    # its first axes
     parts = _bits(_split(scaled.size, len(stack)))
-    index = [(slice(None),) * len(batch) + part for part in parts]
-    if gather is not None:
-        _share(len(parts), scaled.size, lambda: lambda p: gather(parts[p]))
-    _, sv, vh = np.linalg.svd(_reduce_rows(blocks, len(batch)), full_matrices=False)
+    lead = (slice(None),) * len(batch)
+    index = [lead + part for part in parts]
+    if len(parts) == 1:
+        if gather is not None:
+            gather(())
+        reduced = _reduce_rows(blocks, len(batch))
+    else:
+        # one QR call per half and thread: more, smaller calls gained less
+        first = np.empty(batch + stack + (cols, cols), dtype=complex)
+
+        def half(h: int) -> None:
+            if gather is not None:
+                gather((h,))
+            first[lead + (h,)] = np.linalg.qr(blocks[lead + (h,)], mode="r")
+
+        _share(2, scaled.size, lambda: half)
+        rows = first.reshape(batch + (-1, cols))
+        if rows.shape[-2] > block:
+            rows = rows.reshape(batch + (-1, block, cols))
+        reduced = _reduce_rows(rows, len(batch))
+    _, sv, vh = np.linalg.svd(reduced, full_matrices=False)
     rank = (sv > tol * sv[..., :1]).sum(-1)
     if not _all(rank == 1):
         return _per_state(rank), None
@@ -855,9 +883,12 @@ def _reduce_rows(blocks: np.ndarray, batch_rank: int) -> np.ndarray:
     singular values and right singular vectors as the whole. Each block's QR
     stays below _GEMV_BLOCK, in cache and on one thread; the reduction
     repeats on the stacked R factors, in blocks of the same size, until one
-    block is left. It is backward-stable like a plain QR. The first level
-    reads `blocks` as they are, views of the state's amplitudes or not. A
-    matrix of one block, with no stack axes, is returned as it is.
+    block is left. It is backward-stable like a plain QR. Each level is one
+    ``np.linalg.qr`` call on the calling thread, and the first reads
+    `blocks` as they are, views of the state's amplitudes or not.
+    ``schmidt_factor`` runs the first level of a large stack itself, in two
+    halves, and passes the stacked R factors here. A matrix of one block,
+    with no stack axes, is returned as it is.
     """
     batch = blocks.shape[:batch_rank]
     block, cols = blocks.shape[-2:]

@@ -226,6 +226,26 @@ def test_factor_assertion_on_an_entangled_wire_reports_rank():
     assert "rank 2" in outcomes[0].detail
 
 
+ZERO_KET_SOURCE = (
+    "wire a @ Alice\nwire b @ Bob\ninit a = |0>\ninit b = |1>\n"
+    "assert factor b ~ |1>\n"
+    "assert factor b ~ (0,0) |0> + (0,0) |1>\n"
+    "assert pointer a b = 01\n"
+)
+
+
+def test_a_zero_ket_in_a_factor_assertion_fails_it_and_execution_continues():
+    _, outcomes = exec_circuit(parse_circuit(ZERO_KET_SOURCE))
+    assert [(o.line, o.kind, o.passed) for o in outcomes] == [
+        (5, "factor", True),
+        (6, "factor", False),
+        (7, "pointer", True),
+    ]
+    assert outcomes[1].detail == (
+        "factor on 'b' cannot be compared with the zero ket (0.0,0.0)|0>+(0.0,0.0)|1>"
+    )
+
+
 def test_missing_transfer_halts_with_a_locality_error():
     source = superdense_source(0, 1, (1, 0)).replace("transfer a -> Bob\n", "")
     with pytest.raises(LocalityError):

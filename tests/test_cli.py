@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import traced_peak
+from test_circuit import ZERO_KET_SOURCE
 
 import everettsim
 from everettsim import cli, fixtures, gates
@@ -56,6 +57,30 @@ def test_run_with_failing_assertion_exits_one(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_run_records_a_zero_ket_factor_assertion_and_goes_on(capsys, tmp_path):
+    path = tmp_path / "zero.ecirc"
+    path.write_text(ZERO_KET_SOURCE, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "line 5 assert factor: PASS (factor on 'b' ~ |1>)",
+        "line 6 assert factor: FAIL (factor on 'b' cannot be compared with the zero ket"
+        " (0.0,0.0)|0>+(0.0,0.0)|1>)",
+        "line 7 assert pointer: PASS (pointer=01)",
+        "assertions: 2 passed, 1 failed",
+    ]
+    code, out, err = run_cli(capsys, "run", "--json", str(path))
+    assert (code, err) == (1, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["event"], r["line"], r["passed"]) for r in records[:-1]] == [
+        ("Assertion", 5, True),
+        ("Assertion", 6, False),
+        ("Assertion", 7, True),
+    ]
+    assert "zero ket" in records[1]["detail"]
+    assert records[-1] == {"event": "Summary", "verb": "run", "passed": 2, "failed": 1}
 
 
 def test_run_with_locality_violation_exits_one(capsys, tmp_path):

@@ -1,8 +1,8 @@
 """The kernels' sharing of pieces with one worker thread (``state._share``).
 
 A state of at least ``state._SHARED`` amplitudes runs the pieces of
-``apply``, and of ``schmidt_factor``'s gather and large factor, on the
-calling thread and the one thread of ``state._executor()``, when the
+``apply``, and of ``schmidt_factor``'s first TSQR level and large factor,
+on the calling thread and the one thread of ``state._executor()``, when the
 process may use two cores. These tests check that every piece runs exactly
 once, also with several callers, that a piece's exception reaches the
 caller and stops the other thread, that a busy worker costs no waiting and
@@ -241,26 +241,67 @@ def test_a_share_cancelled_behind_a_busy_worker_keeps_no_array_alive(busy_worker
     assert all(ref() is None for ref in refs)
 
 
-@pytest.mark.parametrize("position", [0, 12, 15, 19])
-def test_schmidt_factor_of_a_20_wire_cut_keeps_the_bits_of_one_serial_pass(position):
-    wire = f"w{position}"
-    s, _, _ = product_on_cut(np.random.default_rng(position), 20, (wire,), 1)
-    rank, factors = schmidt_factor(s, Bipartition(frozenset(s.wires) - {wire}, frozenset({wire})))
-    # the same steps, each one call over the whole stack of row blocks
+def one_serial_pass(s, right):
+    """Rank and factors of the cut of `right` from `s`, each step one call over the whole stack of row blocks."""
     scaled, _, shift = state._in_range(s)
-    assert shift == 0
-    blocks, gather = state._row_blocks(s, scaled, tuple(w for w in s.wires if w != wire))
+    assert np.all(shift == 0)
+    batch = s.amps.shape[:-1]
+    blocks, gather = state._row_blocks(s, scaled, tuple(w for w in s.wires if w not in right))
     if gather is not None:
         gather(())
-    _, sv, vh = np.linalg.svd(state._reduce_rows(blocks, 0), full_matrices=False)
-    small = vh[0]
+    _, sv, vh = np.linalg.svd(state._reduce_rows(blocks, len(batch)), full_matrices=False)
+    small = vh[..., 0, :]
     cols = blocks.shape[-1]
     step = min(blocks.shape[-2], max(1, state._GEMV_BLOCK // cols))
     steps = blocks.reshape(blocks.shape[:-2] + (-1, step, cols))
-    big = np.matmul(steps, small.conj()[:, None]).reshape(-1)
-    assert rank == (sv > state.DEFAULT_TOL * sv[0]).sum() == 1
+    conj = small.conj().reshape(batch + (1,) * (steps.ndim - len(batch) - 2) + (cols, 1))
+    big = np.matmul(steps, conj).reshape(batch + (-1,))
+    return (sv > state.DEFAULT_TOL * sv[..., :1]).sum(-1), big, small
+
+
+def assert_one_serial_pass(s, right):
+    # every state here has at least 2**18 amplitudes: TSQR's first level runs in halves
+    assert state._split(s.amps.size, 1) == 1
+    rank, factors = schmidt_factor(s, Bipartition(frozenset(s.wires) - set(right), frozenset(right)))
+    serial_rank, big, small = one_serial_pass(s, right)
+    assert np.all(rank == serial_rank) and np.all(serial_rank == 1)
     assert factors[0].amps.tobytes() == big.tobytes()
     assert factors[1].amps.tobytes() == small.tobytes()
+
+
+# wires 0 and 19 leave the stack of row blocks a view; wires 10 to 18 need a
+# gather, 10 and 18 at the edges of that range
+@pytest.mark.parametrize("position", [0, 10, 12, 15, 18, 19])
+def test_schmidt_factor_of_a_20_wire_cut_keeps_the_bits_of_one_serial_pass(position):
+    wire = f"w{position}"
+    s, _, _ = product_on_cut(np.random.default_rng(position), 20, (wire,), 1)
+    assert_one_serial_pass(s, (wire,))
+
+
+# 2**18 amplitudes, the fewest that TSQR's first level splits into halves
+@pytest.mark.parametrize("position", [0, 9, 17])
+def test_schmidt_factor_of_an_18_wire_cut_keeps_the_bits_of_one_serial_pass(position):
+    wire = f"w{position}"
+    s, _, _ = product_on_cut(np.random.default_rng(18 + position), 18, (wire,), 1)
+    assert_one_serial_pass(s, (wire,))
+
+
+@pytest.mark.parametrize("position", [3, 12, 15])
+def test_schmidt_factor_of_a_stacked_batch_keeps_the_bits_of_one_serial_pass(position):
+    # four 16-wire states, 2**18 amplitudes: the halves split each element's stack
+    wire = f"w{position}"
+    rng = np.random.default_rng(16 + position)
+    elements = [product_on_cut(rng, 16, (wire,), 1)[0] for _ in range(4)]
+    s = PureState(elements[0].wires, np.stack([e.amps for e in elements]))
+    assert_one_serial_pass(s, (wire,))
+
+
+# a two-wire cut of 19 wires leaves R factors of twice a block's rows after
+# the first level, and of 20 wires four times
+@pytest.mark.parametrize("n, right", [(19, ("w3", "w15")), (20, ("w10", "w11"))])
+def test_schmidt_factor_of_a_two_wire_cut_keeps_the_bits_of_one_serial_pass(n, right):
+    s, _, _ = product_on_cut(np.random.default_rng(n), n, right, 1)
+    assert_one_serial_pass(s, right)
 
 
 def test_verify_starts_no_thread(monkeypatch):
