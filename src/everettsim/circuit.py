@@ -33,8 +33,12 @@ operand), and assertions are evaluated and recorded without halting.
 Every statement but an init runs through the step executor `run_step`,
 which the protocol runners also use on the gate and transfer statements of
 `superdense_source` and `teleport_source`, the protocol templates.
-Files use extension `.ecirc`, UTF-8, LF line endings. The CLI drops a
-leading UTF-8 byte-order mark when it reads a file; `parse_circuit` takes
+Files use extension `.ecirc`, UTF-8, LF line endings. `parse_circuit` ends
+a line at LF, CRLF or a lone CR only, the three the CLI's text-mode read
+folds into LF. The other line boundaries of `str.splitlines` (VT, FF, the
+file, group and record separators, NEL, U+2028 and U+2029) are whitespace
+to the tokenizer, inside a comment as well. The CLI drops a leading UTF-8
+byte-order mark when it reads a file; `parse_circuit` takes
 its text as given, so a mark passed to it is an unknown statement.
 """
 
@@ -361,7 +365,9 @@ def parse_circuit(source: str) -> CircuitProgram:
     statements: list[Statement] = []
     declared: set[str] = set()
 
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    # a line ends at LF, CRLF or a lone CR, not at the other boundaries of
+    # str.splitlines: those are whitespace, as \S+ reads them
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", source), start=1):
         cur = _Cursor(lineno, raw)
         head = cur.peek()
         if head is None:

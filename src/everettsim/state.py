@@ -24,17 +24,17 @@ so states can be shared freely between threads.
 A kernel over at least _SHARED amplitudes shares its pieces with one worker
 thread when the process may run on more than one core (``_share``): apply's
 slice moves and block-product chunks, and schmidt_factor's first TSQR level
-(two halves, each gathered and factored by one thread) and large factor.
-The slice moves, the large factor and whether TSQR's first level is halved
-follow one rule (``_split``); the chunks are the block product's own. Each
-piece makes the same numpy and BLAS calls on the same operands as one pass
-would, so sharing changes no bit. The worker is the one thread of a
-``ThreadPoolExecutor``, made on the first such call in each process (a
-forked child makes its own), never at import. The caller cancels the
-worker's share when the worker has not started it by the time the pieces
-run out, and waits for it otherwise. While the interpreter shuts down, as
-in an atexit handler, every piece runs on the caller. The worker calls only
-private helpers and numpy, and never builds a state.
+and large factor (its docstring tells how). The slice moves and
+schmidt_factor's pieces follow one rule (``_split``); the chunks are the
+block product's own. Each piece makes the same numpy and BLAS calls on
+the same operands as one pass would, so sharing changes no bit. The worker
+is the one thread of a ``ThreadPoolExecutor``, made on the first such call
+in each process (a forked child makes its own), never at import. The
+caller cancels the worker's share when the worker has not started it by
+the time the pieces run out, and waits for it otherwise. While the
+interpreter shuts down, as in an atexit handler, every piece runs on the
+caller. The worker calls only private helpers and numpy, and never builds
+a state.
 """
 
 from __future__ import annotations
@@ -103,10 +103,10 @@ _CHUNK = 1 << 13
 # at 2**14 amplitudes, 495 and 484 us at 2**15, 928 and 731 us at 2**16.
 # verify's largest call has 32,000 amplitudes.
 # _sum_sq stays on one thread: split over two it took 0.72 ms against
-# 0.67 ms at 2**20 amplitudes. TSQR's first level runs as two halves, one
-# np.linalg.qr call each: at 20 wires (512 blocks of 1024x2) that took
-# 2.2 ms against 3.7 ms as one call, where eight pieces of 64 blocks took
-# 3.4 ms. numpy's QR copies its input on the thread that calls it, and the
+# 0.67 ms at 2**20 amplitudes. TSQR's first level from 2**18 amplitudes on
+# runs as two halves, one np.linalg.qr call each: at 20 wires (512 blocks
+# of 1024x2) that took 2.2 ms against 3.7 ms as one call, where eight
+# pieces of 64 blocks took 3.4 ms. numpy's QR copies its input on the thread that calls it, and the
 # worker's 8 MiB copy stays in that thread's malloc arena, which raised
 # wide's peak RSS from 110 to 118 MiB. The later levels, a few small
 # blocks, stay on the caller.
@@ -432,10 +432,10 @@ def _bits(m: int) -> tuple[tuple[int, ...], ...]:
 def _split(amps: int, axes: int) -> int:
     """How many leading axes, of at most `axes`, split `amps` amplitudes into pieces of about _PIECE.
 
-    The one piece rule of apply's slice moves and schmidt_factor's large
-    factor; a cut it splits at all has TSQR's first level in two halves. A
-    state of fewer than 2 * _PIECE amplitudes is one piece, and runs inline,
-    although _SHARED is lower: on a 2-core x86-64 VM two pieces from _SHARED
+    The one piece rule of apply's slice moves and of schmidt_factor's large
+    factor and first TSQR level (see ``schmidt_factor``). A state of fewer
+    than 2 * _PIECE amplitudes is one piece, and runs inline, although
+    _SHARED is lower: on a 2-core x86-64 VM two pieces from _SHARED
     on made u_b on three of 16 and 17 wires 8% and 25% faster, but made a
     one-wire schmidt_factor 11% and 3-4% slower.
     """
@@ -755,20 +755,25 @@ def schmidt_factor(
     For a batch the rank holds one value per element, from one batched SVD,
     and the factors are batches, returned only when every rank is 1.
 
-    The SVD reads the tall side's row blocks cut to one block by TSQR
-    (``_row_blocks``, ``_reduce_rows``), and the large factor is the tall
-    matrix times the small one, in row blocks. Those are the same blocks, in
-    the same order, wherever the cut's wires sit, so the rank and the small
-    factor do not depend on the layout. The large factor may differ in its
-    last bits: BLAS sums the product in an order that follows the operand's
-    layout, a view of the amplitudes or a gather. Where ``_split`` cuts the
-    stack of row blocks into pieces, TSQR's first level runs as two halves
-    of the stack through ``_share``: each thread gathers its half, where the
-    stack is no view, and factors it with one ``np.linalg.qr`` call into an
-    array the caller owns, and ``_reduce_rows`` goes on from those R factors
-    on the caller. The large factor runs in those pieces. Each half or piece
-    makes the calls one pass would make on its blocks, so neither the rank
-    nor a factor moves a bit.
+    The SVD reads the tall side's row blocks (``_row_blocks``) cut to one
+    block by TSQR, and the large factor is the tall matrix times the small
+    one, in row blocks. Those are the same blocks, in the same order,
+    wherever the cut's wires sit, so the rank and the small factor do not
+    depend on the layout. The large factor may differ in its last bits: BLAS
+    sums the product in an order that follows the operand's layout, a view
+    of the amplitudes or a gather.
+
+    TSQR's first level runs through ``_share`` over halves of the stack of
+    row blocks, split on its first axis: one half below 2**18 amplitudes
+    (counted over a batch), where ``_split`` makes one piece, and two from
+    there on. Each half is gathered where the stack is not a view, then
+    factored by one ``np.linalg.qr`` call into an array this function owns;
+    ``_reduce_rows`` regroups those R factors into blocks and runs the later
+    levels on the calling thread. A matrix of one block has no stack and
+    goes to the SVD unfactored. The large factor runs in ``_split``'s
+    pieces. Each half or piece makes the calls one pass would make on its
+    blocks, so neither the rank nor a factor moves a bit, on any number of
+    cores.
     """
     if set(cut.left) | set(cut.right) != set(state.wires):
         raise WireError("cut does not cover exactly the state's wires")
@@ -787,29 +792,23 @@ def schmidt_factor(
     block, cols = blocks.shape[-2:]
     stack = blocks.shape[len(batch) : -2]
     # the large factor runs over pieces of the stack of row blocks, split on
-    # its first axes
+    # its first axes, and TSQR's first level over the first bit of those
     parts = _bits(_split(scaled.size, len(stack)))
+    halves = _bits(min(1, len(parts[0])))
     lead = (slice(None),) * len(batch)
-    index = [lead + part for part in parts]
-    if len(parts) == 1:
-        if gather is not None:
-            gather(())
-        reduced = _reduce_rows(blocks, len(batch))
-    else:
-        # one QR call per half and thread: more, smaller calls gained less
+    # TSQR's first level; a matrix of one block goes to the SVD as it is
+    first = blocks
+    if stack:
         first = np.empty(batch + stack + (cols, cols), dtype=complex)
 
         def half(h: int) -> None:
-            if gather is not None:
-                gather((h,))
-            first[lead + (h,)] = np.linalg.qr(blocks[lead + (h,)], mode="r")
+            gather(halves[h])
+            first[lead + halves[h]] = np.linalg.qr(blocks[lead + halves[h]], mode="r")
 
-        _share(2, scaled.size, lambda: half)
-        rows = first.reshape(batch + (-1, cols))
-        if rows.shape[-2] > block:
-            rows = rows.reshape(batch + (-1, block, cols))
-        reduced = _reduce_rows(rows, len(batch))
-    _, sv, vh = np.linalg.svd(reduced, full_matrices=False)
+        _share(len(halves), scaled.size, lambda: half)
+    else:
+        gather(())
+    _, sv, vh = np.linalg.svd(_reduce_rows(first, batch, block), full_matrices=False)
     rank = (sv > tol * sv[..., :1]).sum(-1)
     if not _all(rank == 1):
         return _per_state(rank), None
@@ -821,7 +820,7 @@ def schmidt_factor(
     big = np.empty(steps.shape[:-1] + (1,), dtype=complex)
 
     def large(p: int) -> None:
-        np.matmul(steps[index[p]], conj, out=big[index[p]])
+        np.matmul(steps[lead + parts[p]], conj, out=big[lead + parts[p]])
 
     _share(len(parts), scaled.size, lambda: large)
     big = big.reshape(batch + (-1,))
@@ -838,7 +837,7 @@ def schmidt_factor(
 
 def _row_blocks(
     state: PureState, amps: np.ndarray, tall: tuple[str, ...]
-) -> tuple[np.ndarray, Callable[[tuple[int, ...]], None] | None]:
+) -> tuple[np.ndarray, Callable[[tuple[int, ...]], None]]:
     """The cut matrix with `tall`'s wires as rows, as a stack of row blocks, and its gather.
 
     `amps` is laid out as `state`'s. The stack has shape (batch..., 2, ...,
@@ -865,7 +864,7 @@ def _row_blocks(
     # without a copy when each stride is twice the next
     strides = view.strides
     if all(strides[i] == 2 * strides[i + 1] for i in range(lead, view.ndim - 1) if i != cut - 1):
-        return view.reshape(shape), None
+        return view.reshape(shape), lambda part: None
     blocks = np.empty(shape, dtype=complex)
     batch = (slice(None),) * batch_rank
 
@@ -876,28 +875,22 @@ def _row_blocks(
     return blocks, gather
 
 
-def _reduce_rows(blocks: np.ndarray, batch_rank: int) -> np.ndarray:
-    """A tall matrix, given as a stack of row blocks, cut to one block by Householder QR (TSQR).
+def _reduce_rows(first: np.ndarray, batch: tuple[int, ...], block: int) -> np.ndarray:
+    """TSQR's later levels: the first level's R factors cut to one block of at most `block` rows.
 
-    Stacking the R factors of the row blocks gives a matrix with the same
-    singular values and right singular vectors as the whole. Each block's QR
-    stays below _GEMV_BLOCK, in cache and on one thread; the reduction
-    repeats on the stacked R factors, in blocks of the same size, until one
-    block is left. It is backward-stable like a plain QR. Each level is one
-    ``np.linalg.qr`` call on the calling thread, and the first reads
-    `blocks` as they are, views of the state's amplitudes or not.
-    ``schmidt_factor`` runs the first level of a large stack itself, in two
-    halves, and passes the stacked R factors here. A matrix of one block,
-    with no stack axes, is returned as it is.
+    `first` is (batch..., stack..., cols, cols), from ``schmidt_factor``,
+    which describes the first level. Stacked, the R factors have the
+    singular values and right singular vectors of the whole matrix; each
+    level regroups them into blocks of `block` rows, below _GEMV_BLOCK, and
+    factors them by one ``np.linalg.qr`` call, as backward-stable as one QR.
+    A matrix of one block, passed as `first`, is returned as it is.
     """
-    batch = blocks.shape[:batch_rank]
-    block, cols = blocks.shape[-2:]
-    while blocks.ndim > batch_rank + 2:
-        blocks = np.linalg.qr(blocks, mode="r").reshape(batch + (-1, cols))
-        rows = blocks.shape[-2]
-        if rows > block:
-            blocks = blocks.reshape(batch + (rows // block, block, cols))
-    return blocks
+    cols = first.shape[-1]
+    rows = first.reshape(batch + (-1, cols))
+    while rows.shape[-2] > block:
+        blocks = rows.reshape(batch + (-1, block, cols))
+        rows = np.linalg.qr(blocks, mode="r").reshape(batch + (-1, cols))
+    return rows
 
 
 @dataclass(frozen=True, eq=False)

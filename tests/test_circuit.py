@@ -146,6 +146,20 @@ def test_duplicate_declaration_is_a_parse_error():
     assert err.value.line == 2
 
 
+# every line boundary of str.splitlines but LF, CR and CRLF
+@pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_lf_cr_and_crlf_end_a_line(separator):
+    # inside a comment the separator ends neither the comment nor the line
+    program = parse_circuit(f"wire c @ Alice # a comment{separator}wire d @ Bob")
+    assert [w.label for w in program.registers] == ["c"]
+    # between tokens it is whitespace
+    program = parse_circuit(f"wire{separator}c @ Alice\r\nwire d{separator}@ Bob")
+    assert [w.label for w in program.registers] == ["c", "d"]
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(f"# x{separator}\nwire c @ Alice\rwire c @ Bob")
+    assert err.value.line == 3
+
+
 def test_trailing_tokens_are_rejected():
     with pytest.raises(CircuitParseError) as err:
         parse_circuit("wire c @ Alice extra")

@@ -242,40 +242,54 @@ def test_a_share_cancelled_behind_a_busy_worker_keeps_no_array_alive(busy_worker
 
 
 def one_serial_pass(s, right):
-    """Rank and factors of the cut of `right` from `s`, each step one call over the whole stack of row blocks."""
+    """Rank and factors of the cut of `right` from `s`, each step one call over the whole stack of row blocks.
+
+    Every TSQR level runs here, not through ``state._reduce_rows`` or
+    ``state._share``, so the pass stays independent of the code it checks.
+    """
     scaled, _, shift = state._in_range(s)
     assert np.all(shift == 0)
     batch = s.amps.shape[:-1]
     blocks, gather = state._row_blocks(s, scaled, tuple(w for w in s.wires if w not in right))
-    if gather is not None:
-        gather(())
-    _, sv, vh = np.linalg.svd(state._reduce_rows(blocks, len(batch)), full_matrices=False)
+    gather(())
+    block, cols = blocks.shape[-2:]
+    reduced = blocks
+    while reduced.ndim > len(batch) + 2:
+        reduced = np.linalg.qr(reduced, mode="r").reshape(batch + (-1, cols))
+        if reduced.shape[-2] > block:
+            reduced = reduced.reshape(batch + (-1, block, cols))
+    _, sv, vh = np.linalg.svd(reduced, full_matrices=False)
     small = vh[..., 0, :]
-    cols = blocks.shape[-1]
-    step = min(blocks.shape[-2], max(1, state._GEMV_BLOCK // cols))
+    step = min(block, max(1, state._GEMV_BLOCK // cols))
     steps = blocks.reshape(blocks.shape[:-2] + (-1, step, cols))
     conj = small.conj().reshape(batch + (1,) * (steps.ndim - len(batch) - 2) + (cols, 1))
     big = np.matmul(steps, conj).reshape(batch + (-1,))
     return (sv > state.DEFAULT_TOL * sv[..., :1]).sum(-1), big, small
 
 
-def assert_one_serial_pass(s, right):
-    # every state here has at least 2**18 amplitudes: TSQR's first level runs in halves
-    assert state._split(s.amps.size, 1) == 1
-    rank, factors = schmidt_factor(s, Bipartition(frozenset(s.wires) - set(right), frozenset(right)))
+def assert_one_serial_pass(s, right, view):
+    """schmidt_factor on the cut of `right` matches one serial pass byte for byte.
+
+    `view` says whether the stack of row blocks is a view of the amplitudes,
+    which the cases below rely on to cover both the view and the gather.
+    """
+    tall = tuple(w for w in s.wires if w not in right)
+    assert np.shares_memory(state._row_blocks(s, s.amps, tall)[0], s.amps) == view
+    rank, factors = schmidt_factor(s, Bipartition(frozenset(tall), frozenset(right)))
     serial_rank, big, small = one_serial_pass(s, right)
     assert np.all(rank == serial_rank) and np.all(serial_rank == 1)
     assert factors[0].amps.tobytes() == big.tobytes()
     assert factors[1].amps.tobytes() == small.tobytes()
 
 
-# wires 0 and 19 leave the stack of row blocks a view; wires 10 to 18 need a
+# From 2**18 amplitudes TSQR's first level runs in two halves, below in one.
+# Wires 0 and 19 leave the stack of row blocks a view; wires 10 to 18 need a
 # gather, 10 and 18 at the edges of that range
 @pytest.mark.parametrize("position", [0, 10, 12, 15, 18, 19])
 def test_schmidt_factor_of_a_20_wire_cut_keeps_the_bits_of_one_serial_pass(position):
     wire = f"w{position}"
     s, _, _ = product_on_cut(np.random.default_rng(position), 20, (wire,), 1)
-    assert_one_serial_pass(s, (wire,))
+    assert_one_serial_pass(s, (wire,), position in (0, 19))
 
 
 # 2**18 amplitudes, the fewest that TSQR's first level splits into halves
@@ -283,25 +297,73 @@ def test_schmidt_factor_of_a_20_wire_cut_keeps_the_bits_of_one_serial_pass(posit
 def test_schmidt_factor_of_an_18_wire_cut_keeps_the_bits_of_one_serial_pass(position):
     wire = f"w{position}"
     s, _, _ = product_on_cut(np.random.default_rng(18 + position), 18, (wire,), 1)
-    assert_one_serial_pass(s, (wire,))
+    assert_one_serial_pass(s, (wire,), position in (0, 17))
+
+
+# below 2**18 amplitudes: a stack of row blocks factored as one half, a view
+# at the first wire and gathered at w6 of 12 and w9 of 17 wires
+@pytest.mark.parametrize("n, position", [(12, 0), (12, 6), (17, 0), (17, 9)])
+def test_schmidt_factor_of_a_one_half_cut_keeps_the_bits_of_one_serial_pass(n, position):
+    wire = f"w{position}"
+    s, _, _ = product_on_cut(np.random.default_rng(n + position), n, (wire,), 1)
+    assert_one_serial_pass(s, (wire,), position == 0)
 
 
 @pytest.mark.parametrize("position", [3, 12, 15])
 def test_schmidt_factor_of_a_stacked_batch_keeps_the_bits_of_one_serial_pass(position):
-    # four 16-wire states, 2**18 amplitudes: the halves split each element's stack
+    # four 16-wire states, 2**18 amplitudes: the halves split each element's
+    # stack, a view at w3 and w15 and gathered at w12
     wire = f"w{position}"
     rng = np.random.default_rng(16 + position)
     elements = [product_on_cut(rng, 16, (wire,), 1)[0] for _ in range(4)]
     s = PureState(elements[0].wires, np.stack([e.amps for e in elements]))
-    assert_one_serial_pass(s, (wire,))
+    assert_one_serial_pass(s, (wire,), position != 12)
 
 
 # a two-wire cut of 19 wires leaves R factors of twice a block's rows after
-# the first level, and of 20 wires four times
-@pytest.mark.parametrize("n, right", [(19, ("w3", "w15")), (20, ("w10", "w11"))])
+# the first level, and of 20 wires four times; (w0, w7) of 8 wires is one
+# gathered block, with no QR before the SVD
+@pytest.mark.parametrize("n, right", [(19, ("w3", "w15")), (20, ("w10", "w11")), (8, ("w0", "w7"))])
 def test_schmidt_factor_of_a_two_wire_cut_keeps_the_bits_of_one_serial_pass(n, right):
     s, _, _ = product_on_cut(np.random.default_rng(n), n, right, 1)
-    assert_one_serial_pass(s, right)
+    assert_one_serial_pass(s, right, False)
+
+
+# rank and factor bytes of one-wire cuts of product states at a view and a
+# gather position: of 18 and 20 wires, and of a batch of four 16-wire states,
+# which reaches the 2**18 amplitudes of two halves only over the batch
+CUT_HASH = (
+    "import hashlib\n"
+    "import numpy as np\n"
+    "from everettsim.state import Bipartition, PureState, schmidt_factor\n"
+    "def cut_hash():\n"
+    "    digest = hashlib.sha256()\n"
+    "    for n, position, size in ((18, 0, 1), (18, 9, 1), (20, 19, 1), (20, 12, 1), (16, 3, 4), (16, 12, 4)):\n"
+    "        rng = np.random.default_rng(n + position)\n"
+    "        a, b = (rng.standard_normal((size, rows, 2)) @ (1, 1j) for rows in (1 << (n - 1), 2))\n"
+    "        # the outer product, the cut wire's axis moved to its position\n"
+    "        joint = (a[:, :, None] * b[:, None, :]).reshape(size, 1 << position, -1, 2)\n"
+    "        amps = joint.transpose(0, 1, 3, 2).reshape(size, -1)\n"
+    "        s = PureState(tuple(f'w{i}' for i in range(n)), amps if size > 1 else amps[0])\n"
+    "        right = frozenset({f'w{position}'})\n"
+    "        rank, factors = schmidt_factor(s, Bipartition(frozenset(s.wires) - right, right))\n"
+    "        digest.update(np.asarray(rank).tobytes())\n"
+    "        for factor in factors:\n"
+    "            digest.update(factor.amps.tobytes())\n"
+    "    return digest.hexdigest()\n"
+)
+
+
+@TWO_CORES
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask on this platform")
+def test_one_wire_cuts_keep_their_bits_in_a_process_on_one_core():
+    scope: dict = {}
+    exec(CUT_HASH, scope)
+    # the child pins itself to one core before numpy, and with it OpenBLAS,
+    # starts: there every piece runs inline and BLAS has one thread
+    code = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" + CUT_HASH
+    done = run_python(code + "from everettsim import state\nprint(state._cores(), cut_hash())\n")
+    assert done.stdout.split() == ["1", scope["cut_hash"]()]
 
 
 def test_verify_starts_no_thread(monkeypatch):
