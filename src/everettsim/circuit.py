@@ -411,9 +411,9 @@ def exec_circuit(
     other failure of a statement (a locality violation, a wire initialized
     twice or used before its init, a state that leaves the float range)
     halts with its error, of the same type, its message prefixed with the
-    statement's line. A program that initializes more than MAX_WIRES wires
-    halts before its first statement, naming the init that crosses the
-    limit, so no part of it is allocated.
+    statement's line; so does a MemoryError, raised anew. A program that
+    initializes more than MAX_WIRES wires halts before its first statement,
+    naming the init that crosses the limit, so no part of it is allocated.
     """
     planned: set[str] = set()
     for stmt in prog.statements:
@@ -447,6 +447,9 @@ def exec_circuit(
             # the same error, of the same type, naming the statement's line
             err.args = (f"line {stmt.line}: {err}",)
             raise
+        except MemoryError as err:
+            # numpy's MemoryError prints its own message whatever its args hold
+            raise MemoryError(f"line {stmt.line}: {str(err) or 'out of memory'}") from err
     return world, outcomes
 
 

@@ -6,15 +6,15 @@
     everettsim render <file.ecirc>
     everettsim verify
 
-Exit codes: 0 success, 1 failed assertions or a protocol, locality or state
-error while running, 2 usage errors, non-finite amplitudes, unreadable,
-non-UTF-8 or unparseable files, or output that stdout's encoding cannot
-write. Every error is one line on stderr; stdout closed early by its reader
-(`| head`) exits 1 in silence. Flags must be spelled in full: `--al` is not
-`--alpha`. The environment variable EVERETT_TOL (a decimal literal in
-(0, 1e-6], default 1e-12 for protocol state checks and 1e-10 for circuit
-assertions) overrides the comparison tolerance; `verify` always runs at its
-pinned tolerances. Trace line and JSON record layouts are documented in
+Exit codes: 0 success, 1 failed assertions, a protocol, locality or state
+error, or running out of memory, 2 usage errors, non-finite amplitudes,
+unreadable, non-UTF-8 or unparseable files, or output that stdout's
+encoding cannot write. Every error is one line on stderr; stdout closed
+early by its reader (`| head`) exits 1 in silence. Flags must be spelled in
+full: `--al` is not `--alpha`. The environment variable EVERETT_TOL (an
+ASCII decimal literal in (0, 1e-6], default 1e-12 for protocol state checks
+and 1e-10 for circuit assertions) overrides the comparison tolerance;
+`verify` always runs at its pinned tolerances. Trace line and JSON record layouts are documented in
 `everettsim.reports`.
 """
 
@@ -105,11 +105,12 @@ def _tolerance(default: float) -> float:
     raw = os.environ.get("EVERETT_TOL")
     if raw is None:
         return default
-    try:
-        value = float(raw)
-    except ValueError:
+    # an ASCII decimal literal: float() also takes surrounding whitespace,
+    # underscores between digits, non-ASCII digits, inf and nan
+    if not re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", raw):
         print(f"everettsim: bad EVERETT_TOL {raw!r}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise SystemExit(2)
+    value = float(raw)
     # equal_up_to_phase accepts any pair with fidelity >= 1 - tol, so a large
     # tolerance passes states that differ (at 0.9, a pair with fidelity 0.1);
     # the defaults are 1e-12 and 1e-10
@@ -148,9 +149,10 @@ def main(argv: list[str] | None = None) -> int:
         # a reader that has gone shows here, not in the flush at exit
         sys.stdout.flush()
         return code
-    except (ProtocolError, CircuitError, StateError) as err:
+    except (ProtocolError, CircuitError, StateError, MemoryError) as err:
         where = f"{args.file}: " if "file" in args else ""
-        print(f"everettsim: {where}{err}", file=sys.stderr)
+        # Python's own MemoryError has no message
+        print(f"everettsim: {where}{str(err) or 'out of memory'}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # Python's SIGPIPE recipe: with stdout on devnull the flush at exit

@@ -21,20 +21,15 @@ the one packing of bits into an index.
 Everything here is an immutable value and every operation is a pure function,
 so states can be shared freely between threads.
 
-A kernel over at least _SHARED amplitudes shares its pieces with one worker
-thread when the process may run on more than one core (``_share``): apply's
-slice moves and block-product chunks, and schmidt_factor's first TSQR level
-and large factor (its docstring tells how). The slice moves and
-schmidt_factor's pieces follow one rule (``_split``); the chunks are the
-block product's own. Each piece makes the same numpy and BLAS calls on
-the same operands as one pass would, so sharing changes no bit. The worker
-is the one thread of a ``ThreadPoolExecutor``, made on the first such call
+One rule, ``_split``, decides how a kernel shares its work with one worker
+thread (``_share``): apply's slice moves and block product, and
+schmidt_factor's first TSQR level and large factor, run as two halves from
+_PIECE amplitudes on, and as one piece inline below; ``_split``'s docstring
+has the measurements. Each half makes the same numpy and BLAS calls on the
+same operands as one pass would, so sharing changes no bit. The worker is
+the one thread of a ``ThreadPoolExecutor``, made on the first shared call
 in each process (a forked child makes its own), never at import. The
-caller cancels the worker's share when the worker has not started it by
-the time the pieces run out, and waits for it otherwise. While the
-interpreter shuts down, as in an atexit handler, every piece runs on the
-caller. The worker calls only private helpers and numpy, and never builds
-a state.
+worker calls only private helpers and numpy, and never builds a state.
 """
 
 from __future__ import annotations
@@ -88,7 +83,7 @@ _COLUMN_ROWS = 1 << 10
 _ROW_CHUNK = 1 << 13
 # apply's block product gathers, multiplies and scatters this many amplitudes
 # at a time (counted over a batch), through two buffers of 128 KiB that stay
-# in a core's L2 cache; each thread working on a call has two of its own.
+# in a core's L2 cache; each half of a shared call has two of its own.
 # On a 2-core x86-64 VM (glibc 2.36), in a fresh
 # process, allocating and touching two buffers of 2**14 amplitudes took
 # 170-215 us against 11 us for 2**13, and after one `verify`, check 6's
@@ -96,25 +91,9 @@ _ROW_CHUNK = 1 << 13
 # wires cu_meas took about 3% longer than with 2**14 and 10% less than with
 # 2**12.
 _CHUNK = 1 << 13
-# From this many amplitudes (counted over a batch) apply, and schmidt_factor's
-# first TSQR level and large factor, share their pieces between the calling
-# thread and one worker thread, when the process may run on more than one
-# core. On a 2-core x86-64 VM, cu_meas took 279 us inline and 443 us shared
-# at 2**14 amplitudes, 495 and 484 us at 2**15, 928 and 731 us at 2**16.
-# verify's largest call has 32,000 amplitudes.
-# _sum_sq stays on one thread: split over two it took 0.72 ms against
-# 0.67 ms at 2**20 amplitudes. TSQR's first level from 2**18 amplitudes on
-# runs as two halves, one np.linalg.qr call each: at 20 wires (512 blocks
-# of 1024x2) that took 2.2 ms against 3.7 ms as one call, where eight
-# pieces of 64 blocks took 3.4 ms. numpy's QR copies its input on the thread that calls it, and the
-# worker's 8 MiB copy stays in that thread's malloc arena, which raised
-# wide's peak RSS from 110 to 118 MiB. The later levels, a few small
-# blocks, stay on the caller.
-_SHARED = 1 << 16
-# _split cuts a kernel into pieces of about this many amplitudes. At 20 wires
-# 2**17 (8 pieces) was up to 15% faster than 2**15 or 2**16 and as fast as
-# 2**18 (sigma11, u_b, cu_sigma).
-_PIECE = 1 << 17
+# from this many amplitudes (counted over a batch) a kernel runs as two
+# halves, one of them on the worker thread; _split has the measurements
+_PIECE = 1 << 18
 
 
 class StateError(ValueError):
@@ -373,23 +352,20 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _share(count: int, amps: int, sharer: Callable[[], Callable[[int], None]]) -> None:
-    """Run pieces 0..count-1 of a kernel over `amps` amplitudes.
+def _share(count: int, piece: Callable[[int], None]) -> None:
+    """Run piece(0) .. piece(count - 1), the pieces of one kernel call, which ``_split`` counts.
 
-    `sharer()` gives a thread its piece function, with any buffers of its
-    own. Below _SHARED amplitudes, or on one core, the pieces run here in
-    order. Otherwise this thread and the worker, a ``ThreadPoolExecutor`` of
-    one thread, take them in turn from one iterator; every piece runs
-    exactly once, the same computation on the same operands, so sharing
-    changes no bit. When the pieces run out, the worker's task is cancelled
-    if it has not started (a busy worker then costs about the serial time),
-    and waited for if it has. A piece that raises leaves no piece for the
-    other thread, and its exception is raised here. While the interpreter
-    shuts down, as in an atexit handler, no thread starts and every piece
-    runs here.
+    One piece, or one core, runs here. Otherwise this thread and the worker,
+    a ``ThreadPoolExecutor`` of one thread, take pieces in turn from one
+    iterator; every piece runs exactly once, the same computation on the
+    same operands, so sharing changes no bit. When the pieces run out, the
+    worker's task is cancelled if it has not started (a busy worker then
+    costs about the serial time), and waited for if it has. A piece that
+    raises leaves no piece for the other thread, and its exception is raised
+    here. While the interpreter shuts down, as in an atexit handler, no
+    thread starts and every piece runs here.
     """
-    if count < 2 or amps < _SHARED or _cores() < 2:
-        piece = sharer()
+    if count < 2 or _cores() < 2:
         for i in range(count):
             piece(i)
         return
@@ -397,7 +373,6 @@ def _share(count: int, amps: int, sharer: Callable[[], Callable[[int], None]]) -
     pieces = iter(range(count))
 
     def work() -> None:
-        piece = sharer()
         try:
             for i in pieces:
                 piece(i)
@@ -417,8 +392,8 @@ def _share(count: int, amps: int, sharer: Callable[[], Callable[[int], None]]) -
     finally:
         error = None if future.cancel() else future.exception()
         # a cancelled task stays in the worker's queue: emptying the cell
-        # that work reads sharer from keeps it from holding the kernel's arrays
-        sharer = None
+        # that work reads piece from keeps it from holding the kernel's arrays
+        piece = None
     if error is not None:
         raise error
 
@@ -430,16 +405,38 @@ def _bits(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _split(amps: int, axes: int) -> int:
-    """How many leading axes, of at most `axes`, split `amps` amplitudes into pieces of about _PIECE.
+    """How many of a kernel's first `axes` free wire axes split it: 1 from _PIECE amplitudes, else 0.
 
-    The one piece rule of apply's slice moves and of schmidt_factor's large
-    factor and first TSQR level (see ``schmidt_factor``). A state of fewer
-    than 2 * _PIECE amplitudes is one piece, and runs inline, although
-    _SHARED is lower: on a 2-core x86-64 VM two pieces from _SHARED
-    on made u_b on three of 16 and 17 wires 8% and 25% faster, but made a
-    one-wire schmidt_factor 11% and 3-4% slower.
+    The one sharing rule of every kernel: apply's slice moves and block
+    product, and schmidt_factor's first TSQR level and large factor. From
+    _PIECE amplitudes (counted over a batch) a kernel runs as two halves,
+    one per value of its first free wire axis, which ``_share`` hands to
+    this thread and the worker; below, or with no free axis, it is one
+    piece and runs inline. A half is the calls one pass would make on its
+    part, so neither rule nor core count moves a bit.
+
+    Measured on a 2-core x86-64 VM (numpy 2.4.6, OpenBLAS 0.3.31), medians
+    of five alternating processes per rule, against the rule this one
+    replaced (the block product shared its chunks from 2**16 amplitudes,
+    the other kernels pieces of 2**17 from 2**18). A shared call costs
+    about 60 us of worker wake-up, whatever its work, so a count of
+    amplitudes stands for work only roughly. cu_meas took 0.41-0.43 ms
+    inline against 0.35-0.47 ms shared at 16 wires, 0.78-0.79 against
+    0.63-0.85 ms at 17, and 5.2-5.4 ms at 20 wires both as two halves and
+    as 128 chunks. A batch of 20,000 5-wire states has no free wire axis
+    and runs inline: cu_meas took 10.1-10.2 ms against 10.8-12.2 ms
+    shared. sigma11, u_b, cu_sigma and a one-wire cut at 20 wires moved
+    less than their spread between runs, two halves against eight pieces.
+    TSQR's first level at 20 wires (512 blocks of 1024x2) took 2.2 ms as
+    two halves, one np.linalg.qr call each, against 3.7 ms as one call and
+    3.4 ms as eight pieces. numpy's QR copies its input on the thread that
+    calls it, and the worker's 8-MiB copy stays in that thread's malloc
+    arena: it raised wide's peak RSS from 110 to 118 MiB. _sum_sq and
+    TSQR's later levels stay on one thread: _sum_sq took 0.72 ms split
+    over two against 0.67 ms whole at 2**20 amplitudes, and the later
+    levels are a few small blocks.
     """
-    return min(axes, max(0, (amps // _PIECE).bit_length() - 1))
+    return min(axes, int(amps >= _PIECE))
 
 
 def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureState:
@@ -460,9 +457,10 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
     once into a contiguous stack of blocks, multiplied by one ``np.matmul``
     (a BLAS call per block) and written back into the result by one
     assignment. Every amplitude is one dot over the matrix's columns in the
-    same order whatever the chunk, so chunking changes no bit. The slice
-    moves, split over the first wires besides the targets, and the chunks
-    are the pieces ``_share`` hands out; each thread has its own buffers.
+    same order whatever the chunk, so chunking changes no bit. Both paths
+    run in the halves ``_split`` gives, over the first wire besides the
+    targets, or the first loop wire; a half of the block product has two
+    buffers of its own.
     """
     targets = tuple(targets)
     k = len(targets)
@@ -479,36 +477,33 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
         parts = _bits(_split(amps.size, n - k))
 
         def moves(p: int) -> None:
-            # every slice move, over one value of the first other wires
+            # every slice move, over one value of the first other wire
             for row, col, entry in gate.monomial:
                 _move(src[index[col] + parts[p]], entry, dst[index[row] + parts[p]])
 
-        _share(len(parts), amps.size, lambda: moves)
+        _share(len(parts), moves)
         return PureState._adopt(state.wires, out)
     order, outer, per, block = _block_plan(n, front)
     src, dst = _bit_view(amps, n, order), _bit_view(result, n, order)
     elements = src.shape[0]
     per = min(per, elements)
-    loops = _bits(outer)
+    parts = _bits(_split(amps.size, outer))
+    loops = _bits(outer - len(parts[0]))
 
-    def sharer() -> Callable[[int], None]:
-        # each thread gathers and multiplies in buffers of its own
+    def chunks(p: int) -> None:
         gathered = np.empty((per * block[0],) + block[1:], dtype=complex)
         product = np.empty_like(gathered)
-
-        def chunk(i: int) -> None:
-            start = i // len(loops) * per
+        for start in range(0, elements, per):
             run = min(per, elements - start)
             shape = (run,) + src.shape[1 + outer :]
             stack, results = gathered[: run * block[0]], product[: run * block[0]]
-            key = (slice(start, start + run),) + loops[i % len(loops)]
-            np.copyto(stack.reshape(shape), src[key])
-            np.matmul(gate.matrix, stack, out=results)
-            dst[key] = results.reshape(shape)
+            for loop in loops:
+                key = (slice(start, start + run),) + parts[p] + loop
+                np.copyto(stack.reshape(shape), src[key])
+                np.matmul(gate.matrix, stack, out=results)
+                dst[key] = results.reshape(shape)
 
-        return chunk
-
-    _share(-(-elements // per) * len(loops), amps.size, sharer)
+    _share(len(parts), chunks)
     return PureState._adopt(state.wires, out)
 
 
@@ -763,17 +758,15 @@ def schmidt_factor(
     sums the product in an order that follows the operand's layout, a view
     of the amplitudes or a gather.
 
-    TSQR's first level runs through ``_share`` over halves of the stack of
-    row blocks, split on its first axis: one half below 2**18 amplitudes
-    (counted over a batch), where ``_split`` makes one piece, and two from
-    there on. Each half is gathered where the stack is not a view, then
-    factored by one ``np.linalg.qr`` call into an array this function owns;
+    TSQR's first level and the large factor run in the halves ``_split``
+    gives, over the first axis of the stack of row blocks. Each half of the
+    first level is gathered where the stack is not a view, then factored by
+    one ``np.linalg.qr`` call into an array this function owns;
     ``_reduce_rows`` regroups those R factors into blocks and runs the later
     levels on the calling thread. A matrix of one block has no stack and
-    goes to the SVD unfactored. The large factor runs in ``_split``'s
-    pieces. Each half or piece makes the calls one pass would make on its
-    blocks, so neither the rank nor a factor moves a bit, on any number of
-    cores.
+    goes to the SVD unfactored. Each half makes the calls one pass would
+    make on its blocks, so neither the rank nor a factor moves a bit, on
+    any number of cores.
     """
     if set(cut.left) | set(cut.right) != set(state.wires):
         raise WireError("cut does not cover exactly the state's wires")
@@ -791,21 +784,18 @@ def schmidt_factor(
     blocks, gather = _row_blocks(state, scaled, right_wires if flip else left_wires)
     block, cols = blocks.shape[-2:]
     stack = blocks.shape[len(batch) : -2]
-    # the large factor runs over pieces of the stack of row blocks, split on
-    # its first axes, and TSQR's first level over the first bit of those
     parts = _bits(_split(scaled.size, len(stack)))
-    halves = _bits(min(1, len(parts[0])))
     lead = (slice(None),) * len(batch)
     # TSQR's first level; a matrix of one block goes to the SVD as it is
     first = blocks
     if stack:
         first = np.empty(batch + stack + (cols, cols), dtype=complex)
 
-        def half(h: int) -> None:
-            gather(halves[h])
-            first[lead + halves[h]] = np.linalg.qr(blocks[lead + halves[h]], mode="r")
+        def half(p: int) -> None:
+            gather(parts[p])
+            first[lead + parts[p]] = np.linalg.qr(blocks[lead + parts[p]], mode="r")
 
-        _share(len(halves), scaled.size, lambda: half)
+        _share(len(parts), half)
     else:
         gather(())
     _, sv, vh = np.linalg.svd(_reduce_rows(first, batch, block), full_matrices=False)
@@ -822,7 +812,7 @@ def schmidt_factor(
     def large(p: int) -> None:
         np.matmul(steps[lead + parts[p]], conj, out=big[lead + parts[p]])
 
-    _share(len(parts), scaled.size, lambda: large)
+    _share(len(parts), large)
     big = big.reshape(batch + (-1,))
     if not _all(shift == 0):
         big = _ldexp(big, -shift[..., None])

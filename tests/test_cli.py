@@ -262,6 +262,26 @@ def test_everett_tol_above_the_bound_exits_two(capsys, monkeypatch, tol):
     assert_one_error_line(capsys.readouterr().err)
 
 
+# float() reads each of these, "1_0e-9" as 1e-8, but none is an ASCII
+# decimal literal
+@pytest.mark.parametrize("tol", [" 1e-9 ", "1e-9\n", "1_0e-9", "١e-9", "1e-٩"])
+def test_everett_tol_that_is_no_decimal_literal_exits_two(capsys, monkeypatch, tol):
+    monkeypatch.setenv("EVERETT_TOL", tol)
+    with pytest.raises(SystemExit) as exc:
+        main(["teleport", "--alpha", "1,0", "--beta", "0,0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith("everettsim: bad EVERETT_TOL")
+
+
+@pytest.mark.parametrize("tol", ["+1e-9", "1E-9", ".5e-7", "1e-6", "0.000001"])
+def test_everett_tol_takes_every_decimal_literal_in_range(capsys, monkeypatch, tol):
+    monkeypatch.setenv("EVERETT_TOL", tol)
+    code, _, err = run_cli(capsys, "teleport", "--alpha", "1,0", "--beta", "0,0")
+    assert (code, err) == (0, "")
+
+
 def test_everett_tol_cannot_pass_a_wrong_factor(capsys, monkeypatch, tmp_path):
     # fidelity 0.1, so only a tolerance of 0.9 or more would pass it
     path = tmp_path / "wrong.ecirc"
@@ -346,6 +366,29 @@ def test_output_the_encoding_cannot_write_exits_two_with_one_line(tmp_path):
     )
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "everettsim: cannot write the output in the latin-1 encoding\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no preexec_fn on this platform")
+def test_running_out_of_memory_exits_one_with_one_line(tmp_path):
+    # a 22-wire state takes 64 MiB, and its inits and the gate hold two or
+    # three at once; one OpenBLAS thread keeps the interpreter with numpy
+    # near 100 MiB of address space, whatever the core count
+    import resource
+
+    lines = [f"wire w{i} @ Alice" for i in range(22)] + [f"init w{i} = |0>" for i in range(22)]
+    path = tmp_path / "wide.ecirc"
+    path.write_text("\n".join(lines + ["gate cu_meas w0 w1 w2 w3 @ Alice"]) + "\n", encoding="utf-8")
+    limit = 200 << 20
+    done = subprocess.run(
+        [sys.executable, "-m", "everettsim", "run", str(path)],
+        capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS="1"),
+        # in the child only, between fork and exec
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert_one_error_line(done.stderr)
+    assert done.stderr.startswith(f"everettsim: {path}: line ")
+    assert "Unable to allocate" in done.stderr
 
 
 @pytest.mark.parametrize("alpha,beta,bob", [

@@ -1,16 +1,18 @@
 """The kernels' sharing of pieces with one worker thread (``state._share``).
 
-A state of at least ``state._SHARED`` amplitudes runs the pieces of
-``apply``, and of ``schmidt_factor``'s first TSQR level and large factor,
-on the calling thread and the one thread of ``state._executor()``, when the
-process may use two cores. These tests check that every piece runs exactly
-once, also with several callers, that a piece's exception reaches the
-caller and stops the other thread, that a busy worker costs no waiting and
-its cancelled task holds no array, that the worker keeps no process alive,
-that atexit handlers and forked children can share, and that sharing moves
-no bit. The 20-wire tests of ``test_properties`` reach the shared path as
-well; CI runs both modules once more on one core, where every piece runs
-inline.
+``state._split`` states the one rule: from ``state._PIECE`` (2**18)
+amplitudes, counted over a batch, ``apply``'s slice moves and block
+product, and ``schmidt_factor``'s first TSQR level and large factor, run as
+two halves on the calling thread and the one thread of
+``state._executor()``, when the process may use two cores; below, they run
+inline. These tests check that rule for each kernel, that every piece runs
+exactly once, also with several callers, that a piece's exception reaches
+the caller and stops the other thread, that a busy worker costs no waiting
+and its cancelled task holds no array, that the worker keeps no process
+alive, that atexit handlers and forked children can share, and that
+sharing moves no bit. The 20-wire tests of ``test_properties`` reach the
+shared path as well; CI runs both modules once more on one core, where
+every piece runs inline.
 """
 
 from __future__ import annotations
@@ -45,18 +47,15 @@ def wide_state():
 
 
 def test_a_piece_that_raises_is_raised_in_the_caller_and_the_next_call_works():
-    def sharer():
-        def piece(i):
-            if i == 5:
-                raise RuntimeError("piece 5 failed")
-
-        return piece
+    def piece(i):
+        if i == 5:
+            raise RuntimeError("piece 5 failed")
 
     with pytest.raises(RuntimeError, match="piece 5 failed"):
-        state._share(16, 1 << 20, sharer)
+        state._share(16, piece)
     seen = []
     # list.append is one call under the GIL, safe from either thread
-    state._share(16, 1 << 20, lambda: seen.append)
+    state._share(16, seen.append)
     assert sorted(seen) == list(range(16))
 
 
@@ -71,22 +70,27 @@ def test_a_piece_that_raises_leaves_the_other_thread_no_piece():
         time.sleep(0.002)
 
     with pytest.raises(RuntimeError, match="piece 20 failed"):
-        state._share(200, 1 << 20, lambda: piece)
+        state._share(200, piece)
     # the other thread stops after the piece it holds, not after all 179
     assert len([i for i in seen if i > 20]) < 10
 
 
 def test_concurrent_callers_run_every_piece_exactly_once():
     # more callers than cores, one worker, and a thread switch at nearly
-    # every bytecode: a piece handed out twice or lost shows in `seen`
-    wrong = []
+    # every bytecode: a piece handed out twice or lost shows in `seen`, and
+    # a caller that dies shows in `errors` and in the count of rounds
+    wrong, errors, rounds = [], [], []
 
     def caller():
-        for _ in range(50):
-            seen = []
-            state._share(64, 1 << 20, lambda: seen.append)
-            if sorted(seen) != list(range(64)):
-                wrong.append(seen)
+        try:
+            for _ in range(50):
+                seen = []
+                state._share(64, seen.append)
+                if sorted(seen) != list(range(64)):
+                    wrong.append(seen)
+                rounds.append(1)
+        except BaseException as err:
+            errors.append(err)
 
     callers = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
     interval = sys.getswitchinterval()
@@ -99,7 +103,8 @@ def test_concurrent_callers_run_every_piece_exactly_once():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in callers)
-    assert wrong == []
+    assert errors == []
+    assert wrong == [] and len(rounds) == 4 * 50
 
 
 @TWO_CORES
@@ -113,9 +118,9 @@ def test_a_piece_that_raises_on_the_worker_is_raised_in_the_caller():
         time.sleep(0.01)
 
     with pytest.raises(RuntimeError, match="worker piece failed"):
-        state._share(200, 1 << 20, lambda: piece)
+        state._share(200, piece)
     seen = []
-    state._share(16, 1 << 20, lambda: seen.append)
+    state._share(16, seen.append)
     assert sorted(seen) == list(range(16))
 
 
@@ -221,7 +226,7 @@ def test_a_forked_child_shares_with_a_worker_of_its_own():
         "    def piece(i):\n"
         "        threads.add(threading.get_ident())\n"
         "        time.sleep(0.005)\n"
-        "    state._share(100, 1 << 20, lambda: piece)\n"
+        "    state._share(100, piece)\n"
         "    same = shared_apply() == before\n"
         "    sys.exit(0 if same and len(threads) == min(2, state._cores()) else 3)\n"
         "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
@@ -231,14 +236,72 @@ def test_a_forked_child_shares_with_a_worker_of_its_own():
 
 @TWO_CORES
 def test_a_share_cancelled_behind_a_busy_worker_keeps_no_array_alive(busy_worker):
-    s = PureState(tuple(f"w{i}" for i in range(17)), kernel_amps(np.random.default_rng(16), 1 << 17))
-    # 16 chunks of the block product, shared
+    s = PureState(tuple(f"w{i}" for i in range(18)), kernel_amps(np.random.default_rng(16), 1 << 18))
+    # the block product's two halves, shared
     out = apply(cu_meas(), ("w3", "w9", "w14", "w0"), s)
     refs = weakref.ref(s.amps), weakref.ref(out.amps)
     del s, out
     gc.collect()
     # the cancelled task is still queued behind the busy one
     assert all(ref() is None for ref in refs)
+
+
+@pytest.fixture
+def shares(monkeypatch):
+    """The piece count of each ``_share`` call and the tasks handed to the worker.
+
+    The process is taken to have two cores, so the rule is checked on one
+    core too.
+    """
+    pool, share, counts, tasks = state._executor(), state._share, [], []
+
+    class Counting:
+        def submit(self, work):
+            tasks.append(work)
+            return pool.submit(work)
+
+    def counted(count, piece):
+        counts.append(count)
+        share(count, piece)
+
+    monkeypatch.setattr(state, "_cores", lambda: 2)
+    monkeypatch.setattr(state, "_executor", Counting)
+    monkeypatch.setattr(state, "_share", counted)
+    return counts, tasks
+
+
+def random_state(rng, n):
+    return PureState(tuple(f"w{i}" for i in range(n)), kernel_amps(rng, 1 << n))
+
+
+def cut_w12(rank):
+    def call(rng, n):
+        s, _, _ = product_on_cut(rng, n, ("w12",), rank)
+        return schmidt_factor(s, Bipartition(frozenset(s.wires) - {"w12"}, frozenset({"w12"})))
+
+    return call
+
+
+# each kernel, called on an n-wire state, and its number of _share calls
+RULE_KERNELS = {
+    "slice moves": (lambda rng, n: apply(GATES["u_b"].build(), ("w3", "w9", "w14"), random_state(rng, n)), 1),
+    "block product": (lambda rng, n: apply(cu_meas(), ("w3", "w9", "w14", "w0"), random_state(rng, n)), 1),
+    # rank 2: no large factor
+    "first TSQR level": (cut_w12(2), 1),
+    # rank 1: the first level, then the large factor
+    "large factor": (cut_w12(1), 2),
+}
+
+
+@pytest.mark.parametrize("kernel", RULE_KERNELS)
+@pytest.mark.parametrize("n", [17, 18])
+def test_each_kernel_shares_two_halves_from_2_18_amplitudes(shares, kernel, n):
+    call, calls = RULE_KERNELS[kernel]
+    call(np.random.default_rng(n), n)
+    counts, tasks = shares
+    assert counts == [2 if n == 18 else 1] * calls
+    # one task per shared call, whether or not the worker ran it
+    assert len(tasks) == (calls if n == 18 else 0)
 
 
 def one_serial_pass(s, right):
