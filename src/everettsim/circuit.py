@@ -26,10 +26,11 @@ Every failure is a CircuitParseError naming the line, the column and what
 was expected there. `KetExpr.source` is the one spelling of a ket, which
 `teleport_source` writes and the parser reads back to an equal KetExpr.
 
-Execution interprets statements in order against a ProtocolWorld: inits
-tensor wires into the state in statement order, gates are applied as the
-named agent (halting with LocalityError if the agent does not hold every
-operand), and assertions are evaluated and recorded without halting.
+Execution interprets statements in order against a ProtocolWorld: each run
+of consecutive inits tensors its wires into the state as one product, in
+statement order; gates are applied as the named agent (halting with
+LocalityError if the agent does not hold every operand), and assertions
+are evaluated and recorded without halting.
 Every statement but an init runs through the step executor `run_step`,
 which the protocol runners also use on the gate and transfer statements of
 `superdense_source` and `teleport_source`, the protocol templates.
@@ -45,6 +46,7 @@ its text as given, so a mark passed to it is an unknown statement.
 from __future__ import annotations
 
 import cmath
+import itertools
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -407,13 +409,16 @@ def exec_circuit(
 ) -> tuple[protocols.ProtocolWorld, list[AssertionOutcome]]:
     """Interpret a program; returns the final world and assertion outcomes.
 
-    Assertions are recorded and execution continues past failures. Any
-    other failure of a statement (a locality violation, a wire initialized
-    twice or used before its init, a state that leaves the float range)
-    halts with its error, of the same type, its message prefixed with the
-    statement's line; so does a MemoryError, raised anew. A program that
-    initializes more than MAX_WIRES wires halts before its first statement,
-    naming the init that crosses the limit, so no part of it is allocated.
+    Each run of consecutive inits joins the state in one
+    ``protocols.init_wires`` call (``_init_run``), one InitEvent per
+    statement. Assertions are recorded and execution continues past
+    failures. Any other failure of a statement (a locality violation, a wire
+    initialized twice or used before its init, a state that leaves the float
+    range) halts with its error, of the same type, its message prefixed with
+    the statement's line; so does a MemoryError, raised anew, which names the
+    last init of a run. A program that initializes more than MAX_WIRES wires
+    halts before its first statement, naming the init that crosses the
+    limit, so no part of it is allocated.
     """
     planned: set[str] = set()
     for stmt in prog.statements:
@@ -428,29 +433,72 @@ def exec_circuit(
     world = protocols.empty_world()
     agents = {decl.label: protocols.Agent(decl.agent) for decl in prog.registers}
     outcomes: list[AssertionOutcome] = []
-    for stmt in prog.statements:
-        try:
-            if not isinstance(stmt, (InitKet, InitPair)):
+    runs = itertools.groupby(prog.statements, lambda stmt: isinstance(stmt, (InitKet, InitPair)))
+    for inits, stmts in runs:
+        if inits:
+            world = _init_run(world, tuple(stmts), agents)
+            continue
+        for stmt in stmts:
+            try:
                 world = run_step(world, stmt, tol, outcomes)
-                continue
-            for w in _operands(stmt):
-                if w in world.location:
-                    raise CircuitError(f"wire {w!r} initialized twice")
-            if isinstance(stmt, InitPair):
-                piece, label = bell(stmt.x, stmt.y, stmt.wires), f"bell({stmt.x},{stmt.y})"
-            elif stmt.expr.amp0 == 0 and stmt.expr.amp1 == 0:
-                raise CircuitError(f"zero initializer for {stmt.wire!r}")
-            else:
-                piece, label = qubit(stmt.wire, stmt.expr.amp0, stmt.expr.amp1), stmt.expr.text
-            world = protocols.init_wires(world, piece, {w: agents[w] for w in piece.wires}, label)
-        except (CircuitError, protocols.ProtocolError, StateError) as err:
-            # the same error, of the same type, naming the statement's line
-            err.args = (f"line {stmt.line}: {err}",)
-            raise
-        except MemoryError as err:
-            # numpy's MemoryError prints its own message whatever its args hold
-            raise MemoryError(f"line {stmt.line}: {str(err) or 'out of memory'}") from err
+            except (CircuitError, protocols.ProtocolError, StateError, MemoryError) as err:
+                raise _at_line(err, stmt.line)
     return world, outcomes
+
+
+def _at_line(err: Exception, line: int) -> Exception:
+    """A statement's failure, its message prefixed with the statement's line.
+
+    The same error, of the same type, but for a MemoryError, which is made
+    anew: numpy's prints its own message whatever its args hold.
+    """
+    if isinstance(err, MemoryError):
+        named = MemoryError(f"line {line}: {str(err) or 'out of memory'}")
+        named.__cause__ = err
+        return named
+    err.args = (f"line {line}: {err}",)
+    return err
+
+
+def _init_run(
+    world: protocols.ProtocolWorld,
+    run: tuple[InitKet | InitPair, ...],
+    agents: dict[str, protocols.Agent],
+) -> protocols.ProtocolWorld:
+    """Tensor a run of consecutive inits into the world in one ``protocols.init_wires`` call.
+
+    Each init's own checks run first, in order, and name its line: a wire
+    initialized twice, by an earlier init of the run too, and a zero
+    initializer. A run whose product leaves the float range runs again one
+    init at a time, so that the init whose product left it names the line,
+    as it would alone. A MemoryError names the run's last init.
+    """
+    pieces, labels, placements = [], [], {}
+    for stmt in run:
+        for w in _operands(stmt):
+            if w in world.location or w in placements:
+                raise CircuitError(f"line {stmt.line}: wire {w!r} initialized twice")
+        if isinstance(stmt, InitPair):
+            piece, label = bell(stmt.x, stmt.y, stmt.wires), f"bell({stmt.x},{stmt.y})"
+        elif stmt.expr.amp0 == 0 and stmt.expr.amp1 == 0:
+            raise CircuitError(f"line {stmt.line}: zero initializer for {stmt.wire!r}")
+        else:
+            piece, label = qubit(stmt.wire, stmt.expr.amp0, stmt.expr.amp1), stmt.expr.text
+        placements.update((w, agents[w]) for w in piece.wires)
+        pieces.append(piece)
+        labels.append(label)
+    try:
+        return protocols.init_wires(world, pieces, placements, labels)
+    except MemoryError as err:
+        raise _at_line(err, run[-1].line)
+    except StateError as err:
+        for stmt, piece, label in zip(run, pieces, labels):
+            alone = {w: placements[w] for w in piece.wires}
+            try:
+                world = protocols.init_wires(world, (piece,), alone, (label,))
+            except (StateError, MemoryError) as failed:
+                raise _at_line(failed, stmt.line)
+        raise _at_line(err, run[-1].line)
 
 
 def run_step(

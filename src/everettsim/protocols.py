@@ -171,22 +171,35 @@ def empty_world() -> ProtocolWorld:
 
 
 def init_wires(
-    world: ProtocolWorld, piece: PureState, placements: Mapping[str, Agent], label: str
+    world: ProtocolWorld,
+    pieces: Sequence[PureState],
+    placements: Mapping[str, Agent],
+    labels: Sequence[str],
 ) -> ProtocolWorld:
-    """Tensor new wires into the world and record where each one sits."""
-    if set(placements) != set(piece.wires):
+    """Tensor a run of new pieces into the world and record where each wire sits.
+
+    The world's state and the pieces are one ``tensor`` call, whose product
+    is built in one buffer. The trace gains one InitEvent per piece, in
+    order, labelled by the matching entry of `labels`; `placements` covers
+    exactly the pieces' wires.
+    """
+    wires = [w for piece in pieces for w in piece.wires]
+    if set(placements) != set(wires):
         raise ProtocolError("placements must cover exactly the new wires")
-    # the empty world's state is the scalar 1, so a first piece is the product
-    state = tensor(world.state, piece) if world.state.wires else piece
+    # the empty world's state is the scalar 1, so a lone first piece is the product
+    states = (world.state, *pieces) if world.state.wires else tuple(pieces)
+    state = states[0] if len(states) == 1 else tensor(*states)
     location = dict(world.location)
-    for w, agent in placements.items():
-        location[w] = agent
-    event = InitEvent(
-        wires=piece.wires,
-        placements=tuple((w, placements[w].value) for w in piece.wires),
-        state=label,
+    location.update(placements)
+    events = tuple(
+        InitEvent(
+            wires=piece.wires,
+            placements=tuple((w, placements[w].value) for w in piece.wires),
+            state=label,
+        )
+        for piece, label in zip(pieces, labels, strict=True)
     )
-    return ProtocolWorld(state, location, world.trace + (event,))
+    return ProtocolWorld(state, location, world.trace + events)
 
 
 def transfer(world: ProtocolWorld, wire: str, to: Agent) -> ProtocolWorld:
@@ -386,7 +399,7 @@ def run_superdense(p: int, q: int, tol: float = DEFAULT_TOL) -> SuperdenseResult
     """
     p, q = _check_bit("p", p), _check_bit("q", q)
     initial = _superdense_state(p, q, bell(0, 0, ("a", "b")))
-    world = init_wires(empty_world(), initial, SUPERDENSE_WIRES, f"superdense(p={p},q={q})")
+    world = init_wires(empty_world(), (initial,), SUPERDENSE_WIRES, (f"superdense(p={p},q={q})",))
     encode, send_and_measure = _template_steps(circuit.superdense_source, 0, 0, (0, 0))
 
     for stmt in encode:
@@ -501,7 +514,7 @@ def run_teleport_batch(
         qubit("u", alphas, betas),
         bell(0, 0, ("a", "b")),
     )
-    world = init_wires(empty_world(), initial, TELEPORT_WIRES, "teleport")
+    world = init_wires(empty_world(), (initial,), TELEPORT_WIRES, ("teleport",))
     del initial  # each batch-sized state lives only as long as the world holds it
     measure, send_and_correct = _template_steps(circuit.teleport_source, 1, 0)
 

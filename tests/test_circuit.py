@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import everettsim
-from everettsim import fixtures
+from everettsim import fixtures, protocols
 from everettsim.circuit import (
     AssertFactor,
     AssertPointer,
@@ -309,3 +310,24 @@ def test_an_init_past_the_float_range_keeps_its_state_error_and_names_its_line()
     lines += [f"init {w} = (1e150,0) |0> + (1e150,0) |1>" for w in "xyz"]
     with pytest.raises(StateError, match="^line 6: tensor product overflows the float range$"):
         exec_circuit(parse_circuit("\n".join(lines)))
+
+
+def test_a_run_of_inits_holds_one_state_sized_buffer(small_wire_limit):
+    # built one init at a time, a run holds the last two states at once,
+    # 1.5 times the state
+    n = small_wire_limit
+    lines = [f"wire w{i} @ Alice" for i in range(n)] + ["init pair w0 w1 = bell 0 1"]
+    lines += [f"init w{i} = (0.6,0) |0> + (0,0.8) |1>" for i in range(2, n)]
+    world, _ = exec_circuit(parse_circuit("\n".join(lines)))
+    assert world.state.n_wires == n
+    assert traced_peak() <= 1.2 * world.state.amps.nbytes
+
+
+def test_a_run_that_runs_out_of_memory_names_its_last_init(monkeypatch):
+    def exhausted(*states):
+        raise MemoryError("Unable to allocate 1.00 MiB")
+
+    monkeypatch.setattr(protocols, "tensor", exhausted)
+    source = "wire a @ Alice\nwire b @ Alice\ninit a = |0>\ninit b = |1>\ngate sigma00 a @ Alice"
+    with pytest.raises(MemoryError, match="^line 4: Unable to allocate 1.00 MiB$"):
+        exec_circuit(parse_circuit(source))

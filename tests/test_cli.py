@@ -348,14 +348,15 @@ def test_a_reader_that_stops_early_gets_no_traceback(tmp_path, verb):
     lines = [f"wire w{i} @ Alice" for i in range(3)] + [f"init w{i} = |0>" for i in range(3)]
     path = tmp_path / "long.ecirc"
     path.write_text("\n".join(lines + ["assert factor w0 ~ |0>"] * 5000) + "\n", encoding="utf-8")
-    child = subprocess.Popen(
+    # leaving the block closes the stderr pipe too, and waits for the child
+    with subprocess.Popen(
         [sys.executable, "-m", "everettsim", verb, str(path)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
-    )
-    assert child.stdout.readline()
-    child.stdout.close()
-    err = child.stderr.read()
-    assert (child.wait(), err) == (1, b"")
+    ) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(), err) == (1, b"")
 
 
 def test_output_the_encoding_cannot_write_exits_two_with_one_line(tmp_path):
@@ -370,9 +371,10 @@ def test_output_the_encoding_cannot_write_exits_two_with_one_line(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no preexec_fn on this platform")
 def test_running_out_of_memory_exits_one_with_one_line(tmp_path):
-    # a 22-wire state takes 64 MiB, and its inits and the gate hold two or
-    # three at once; one OpenBLAS thread keeps the interpreter with numpy
-    # near 100 MiB of address space, whatever the core count
+    # a 22-wire state takes 64 MiB: its run of inits builds it in one
+    # buffer, and the gate needs a second, which passes the limit; one
+    # OpenBLAS thread keeps the interpreter with numpy near 100 MiB of
+    # address space, whatever the core count
     import resource
 
     lines = [f"wire w{i} @ Alice" for i in range(22)] + [f"init w{i} = |0>" for i in range(22)]

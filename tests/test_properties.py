@@ -8,6 +8,7 @@ examples on every run (`derandomize`).
 """
 
 import contextlib
+import functools
 import io
 import itertools
 
@@ -203,36 +204,68 @@ def test_run_of_a_mutated_fixture_exits_0_1_or_2_with_at_most_one_stderr_line(
     assert "Traceback" not in err.getvalue()
 
 
-@st.composite
-def factors(draw, wires: str, batch: bool) -> PureState:
-    """A state over `wires` at scale 1, 1e-150 or 1e150, signed zeros included."""
-    shape = (draw(st.integers(1, 3)),) * batch + (1 << len(wires),)
-    size = int(np.prod(shape))
-    parts = st.lists(st.floats(-4, 4), min_size=size, max_size=size)
-    scale = draw(st.sampled_from((1.0, 1e-150, 1e150)))
+def factor_amps(rng, shape, scale):
+    """Parts uniform in (-4, 4) or, one in four, a signed zero, times scale."""
     amps = np.empty(shape, dtype=complex)
-    amps.real = np.reshape(draw(parts), shape) * scale
-    amps.imag = np.reshape(draw(parts), shape) * scale
-    return PureState(tuple(wires), amps)
+    for part in (amps.real, amps.imag):
+        part[...] = rng.uniform(-4, 4, size=shape) * scale
+        zero = rng.random(shape) < 0.25
+        part[zero] = np.copysign(0.0, part[zero])
+    return amps
 
 
 @pytest.mark.parametrize("left_batch,right_batch", [(False, False), (True, False), (False, True)])
 @FACTORS
 @given(data=st.data())
 def test_tensor_matches_kron_bit_for_bit(left_batch, right_batch, data):
-    left = data.draw(factors("ab", left_batch))
-    right = data.draw(factors("c", right_batch))
+    # 2-5 factors, the first up to 2**12 amplitudes wide: later steps then
+    # run by columns from _COLUMN_ROWS rows on, over row chunks of
+    # _ROW_CHUNK, the first of which reads a copy; a left batch is the first
+    # factor, a right batch one of the others
+    count = data.draw(st.integers(2, 5))
+    widths = [data.draw(st.sampled_from((0, 2, 9, 12)))]
+    widths += [data.draw(st.integers(0, 3)) for _ in range(count - 1)]
+    batch = 0 if left_batch else data.draw(st.integers(1, count - 1)) if right_batch else None
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    states = []
+    for i, n in enumerate(widths):
+        shape = (int(rng.integers(1, 4)),) * (i == batch) + (1 << n,)
+        scale = data.draw(st.sampled_from((1.0, 1e-150, 1e150)))
+        wires = tuple(f"f{i}w{j}" for j in range(n))
+        states.append(PureState(wires, factor_amps(rng, shape, scale)))
+    with np.errstate(all="ignore"):
+        want = functools.reduce(np.kron, [s.amps for s in states])
     try:
-        got = tensor(left, right).amps
+        got = tensor(*states).amps
     except StateError:
-        # a product that rounds to zero is refused; np.kron would give it
-        assert not np.kron(left.amps, right.amps).any()
+        # refused only past the float range: an overflow, or a product that
+        # rounds to the zero vector although no factor is zero
+        lost = ~want.any(-1)
+        for s in states:
+            lost &= s.amps.any(-1)
+        assert not np.isfinite(want).all() or lost.any()
         return
-    want = np.kron(left.amps, right.amps)
     assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
-    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_tensor_of_many_small_factors_matches_chained_kron():
+    # a step on one running amplitude and a factor of one writes where it
+    # reads, and numpy 2.4's in-place complex product rounds about half of
+    # such products differently in the last bit; the step reads a copy
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        widths = rng.integers(0, 4, size=int(rng.integers(2, 6)))
+        batch = int(rng.integers(-1, len(widths)))
+        states = [
+            PureState(
+                tuple(f"f{i}w{j}" for j in range(n)),
+                factor_amps(rng, (3,) * (i == batch) + (1 << n,), 1.0),
+            )
+            for i, n in enumerate(widths)
+        ]
+        want = functools.reduce(np.kron, [s.amps for s in states])
+        assert np.array_equal(bits(tensor(*states).amps), bits(want)), (widths, batch)
 
 
 @pytest.mark.parametrize("left_shape,right_shape", [

@@ -47,7 +47,7 @@ EXPECTED_TABLE = {(0, 0): (0, 0), (0, 1): (1, 0), (1, 0): (0, 1), (1, 1): (1, 1)
 
 def small_world():
     state = tensor(qubit("a", 1, 0), qubit("b", 0, 1))
-    return init_wires(empty_world(), state, {"a": Agent.ALICE, "b": Agent.BOB}, "pair")
+    return init_wires(empty_world(), (state,), {"a": Agent.ALICE, "b": Agent.BOB}, ("pair",))
 
 
 # ---------------------------------------------------------------- plumbing
@@ -80,7 +80,7 @@ def test_transfer_of_unknown_wire_fails():
 def test_apply_local_requires_colocation():
     state = tensor(qubit("c", 1, 0), qubit("d", 0, 1), qubit("t", 1, 0))
     placements = {"c": Agent.ALICE, "d": Agent.ALICE, "t": Agent.BOB}
-    world = init_wires(empty_world(), state, placements, "split triple")
+    world = init_wires(empty_world(), (state,), placements, ("split triple",))
     with pytest.raises(LocalityError):
         apply_local(world, cu_sigma(), ("c", "d", "t"), Agent.ALICE)
     moved = transfer(world, "t", Agent.ALICE)
@@ -90,7 +90,7 @@ def test_apply_local_requires_colocation():
 def test_gate_events_record_name_wires_actor():
     state = tensor(qubit("c", 1, 0), qubit("d", 0, 1), qubit("t", 1, 0))
     world = init_wires(
-        empty_world(), state, {k: Agent.ALICE for k in ("c", "d", "t")}, "triple"
+        empty_world(), (state,), {k: Agent.ALICE for k in ("c", "d", "t")}, ("triple",)
     )
     world = apply_local(world, cu_sigma(), ("c", "d", "t"), Agent.ALICE)
     event = world.trace[-1]
@@ -103,7 +103,7 @@ def test_gate_events_record_name_wires_actor():
 @pytest.mark.parametrize("scale", (1e-5, 1e160))
 def test_apply_local_rejects_a_norm_change_at_any_scale(monkeypatch, scale):
     # a bound absolute below norm 1 let this pass, and so did inf - inf
-    world = init_wires(empty_world(), qubit("a", scale, 0), {"a": Agent.ALICE}, "far")
+    world = init_wires(empty_world(), (qubit("a", scale, 0),), {"a": Agent.ALICE}, ("far",))
     monkeypatch.setattr(
         protocols, "apply", lambda gate, targets, state: PureState(state.wires, 2 * state.amps)
     )
@@ -113,7 +113,35 @@ def test_apply_local_rejects_a_norm_change_at_any_scale(monkeypatch, scale):
 
 def test_init_requires_full_placements():
     with pytest.raises(ProtocolError):
-        init_wires(empty_world(), qubit("a", 1, 0), {}, "missing placement")
+        init_wires(empty_world(), (qubit("a", 1, 0),), {}, ("missing placement",))
+
+
+def test_a_run_of_inits_matches_one_init_at_a_time():
+    rng = np.random.default_rng(22)
+    wide = tuple(f"w{i}" for i in range(11))
+    parts = rng.standard_normal((2, 1 << 11))
+    parts[rng.random(parts.shape) < 0.25] = -0.0
+    pieces = (
+        qubit("a", 0.6, -0.0),
+        PureState(wide, parts[0] + 1j * parts[1]),
+        bell(0, 1, ("b", "c")),
+        qubit("d", 1e-150, 2e-150j),
+        qubit("e", -0.0, 1.0),
+    )
+    labels = tuple(f"piece {i}" for i in range(len(pieces)))
+    placements = {w: Agent.BOB if w in "bd" else Agent.ALICE for p in pieces for w in p.wires}
+    start = init_wires(empty_world(), (qubit("z", 0.8, 0.6j),), {"z": Agent.BOB}, ("z",))
+    # from the empty world, and from one that already holds a state
+    for world in (empty_world(), start):
+        run = init_wires(world, pieces, placements, labels)
+        folded = world
+        for piece, label in zip(pieces, labels):
+            alone = {w: placements[w] for w in piece.wires}
+            folded = init_wires(folded, (piece,), alone, (label,))
+        assert run.state.wires == folded.state.wires
+        assert run.state.amps.tobytes() == folded.state.amps.tobytes()
+        assert run.trace == folded.trace
+        assert list(run.location.items()) == list(folded.location.items())
 
 
 # -------------------------------------------------------------- superdense
@@ -395,7 +423,7 @@ def test_measuring_before_the_transfer_is_rejected():
         "E1": Agent.BOB,
         "E2": Agent.BOB,
     }
-    world = init_wires(empty_world(), initial, placements, "superdense(p=0,q=1)")
+    world = init_wires(empty_world(), (initial,), placements, ("superdense(p=0,q=1)",))
     world = apply_local(world, cu_sigma(), ("c", "d", "a"), Agent.ALICE)
     with pytest.raises(LocalityError):
         apply_local(world, cu_meas(), ("E1", "E2", "a", "b"), Agent.BOB)

@@ -23,6 +23,7 @@ from everettsim.state import (
     schmidt_factor,
     tensor,
 )
+from everettsim.state import _DOT_BLOCK, _sum_sq
 
 
 def rand_state(rng, wires):
@@ -347,6 +348,26 @@ def test_norm_drift_is_relative_at_any_scale(scale):
     assert norm_drift(before, qubit("a", 2 * scale, 0)) == pytest.approx(3.0)
     with pytest.raises(ZeroStateError):
         norm_drift(PureState(("a",), np.zeros(2)), before)
+
+
+@pytest.mark.parametrize("n", range(14))
+def test_sum_sq_of_a_small_state_matches_vecdot_at_every_scale(n):
+    # a single state of at most _DOT_BLOCK amplitudes sums by np.vdot, which
+    # needs no np.errstate; on one amplitude that overflows np.vdot may give
+    # nan where vecdot gives inf, so that one keeps vecdot
+    assert 1 << n <= _DOT_BLOCK
+    rng = np.random.default_rng(n)
+    # parts near 10**exponent: signed zeros below the smallest subnormal,
+    # squares past the largest float above 1e154
+    for exponent in range(-330, 306, 5):
+        amps = random_amps(rng, 2 << n) * 10.0**exponent
+        amps[rng.random(amps.shape) < 0.1] = -0.0
+        for view in (amps[: 1 << n], amps[::2]):
+            with np.errstate(all="ignore"):
+                want = np.vecdot(view, view)[()].real
+            got = _sum_sq(view)
+            assert np.isnan(got) == np.isnan(want)
+            assert np.isnan(got) or got == want and np.signbit(got) == np.signbit(want)
 
 
 # inner_product has its own: test_inner_product_requires_matching_wires
