@@ -95,6 +95,15 @@ _CHUNK = 1 << 13
 # from this many amplitudes (counted over a batch) a kernel runs as two
 # halves, one of them on the worker thread; _split has the measurements
 _PIECE = 1 << 18
+# schmidt_factor reads the row blocks of a half in pieces of about this many
+# amplitudes (counted over a batch), so neither its gather nor np.linalg.qr's
+# copy of its input grows with the state. On a 2-core x86-64 VM a one-wire cut
+# of 20 wires held 0.54, 0.57, 0.63 and 0.75 times the state beside it
+# (tracemalloc, gathered at w12) with pieces of 2**14, 2**15, 2**16 and 2**17,
+# and 0.63, 0.76, 1.0 and 1.5 at 18 wires; averaged over the 20 positions
+# it took 9.4-9.5, 8.5-9.6 and 9.2-10.3 ms with the first three, in three
+# alternating processes each, against 5.2-6.3 ms with one QR call per half
+_ROWS = 1 << 15
 
 
 class StateError(ValueError):
@@ -455,12 +464,25 @@ def _split(amps: int, axes: int) -> int:
     less than their spread between runs, two halves against eight pieces.
     TSQR's first level at 20 wires (512 blocks of 1024x2) took 2.2 ms as
     two halves, one np.linalg.qr call each, against 3.7 ms as one call and
-    3.4 ms as eight pieces. numpy's QR copies its input on the thread that
-    calls it, and the worker's 8-MiB copy stays in that thread's malloc
-    arena: it raised wide's peak RSS from 110 to 118 MiB. _sum_sq and
-    TSQR's later levels stay on one thread: _sum_sq took 0.72 ms split
-    over two against 0.67 ms whole at 2**20 amplitudes, and the later
-    levels are a few small blocks.
+    3.4 ms as eight pieces. _sum_sq and TSQR's later levels stay on one
+    thread: _sum_sq took 0.72 ms split over two against 0.67 ms whole at
+    2**20 amplitudes, and the later levels are a few small blocks.
+
+    Each half of schmidt_factor reads its row blocks in pieces of _ROWS
+    amplitudes, one np.linalg.qr call each and later one np.matmul each.
+    numpy 2.4's QR copies its whole input (astype(copy=True)) on the
+    thread that calls it, and a copy the worker made stays in that
+    thread's malloc arena, where the calling thread cannot reuse it: one
+    QR call per half raised wide's peak RSS from 110 to 118 MiB. In pieces
+    wide's peak fell from 107 to 99.5 MiB, a one-wire cut of 20 wires holds
+    0.50-0.57 times the state beside it (tracemalloc) against 1.0-2.0, and
+    a 22-wire run peaks at 159 MiB on two cores and on one, against 224
+    and 192 MiB. The pieces cost time on two cores: both threads take the
+    interpreter lock between short numpy calls, and in one traced cut the
+    calling thread waited 2.3-2.7 ms for it while the worker ran its whole
+    half. The 20 one-wire cuts of a 20-wire product state took 7.9-9.3 ms
+    on average against 5.4-8.0 ms with one QR call per half, in six
+    alternating processes each.
     """
     return min(axes, int(amps >= _PIECE))
 
@@ -791,14 +813,21 @@ def schmidt_factor(
     of the amplitudes or a gather.
 
     TSQR's first level and the large factor run in the halves ``_split``
-    gives, over the first axis of the stack of row blocks. Each half of the
-    first level is gathered where the stack is not a view, then factored by
-    one ``np.linalg.qr`` call into an array this function owns;
-    ``_reduce_rows`` regroups those R factors into blocks and runs the later
-    levels on the calling thread. A matrix of one block has no stack and
-    goes to the SVD unfactored. Each half makes the calls one pass would
-    make on its blocks, so neither the rank nor a factor moves a bit, on
-    any number of cores.
+    gives, over the first axis of the stack of row blocks, and each half
+    walks its blocks in pieces of about _ROWS amplitudes, over the stack
+    axes after its own. A piece is a view of the amplitudes where the stack
+    is in place, and elsewhere is gathered into the half's one buffer,
+    which both passes reuse. The first level factors each piece by one
+    ``np.linalg.qr`` call into an array this function owns, so that QR's
+    copy of its input is one piece too; ``_reduce_rows`` regroups those R
+    factors into blocks and runs the later levels on the calling thread.
+    The large factor is one ``np.matmul`` per piece into its rows of the
+    result. A matrix of one block has no stack and goes to the SVD
+    unfactored. Every block meets the LAPACK and BLAS calls one pass over
+    the whole stack would make, so neither the rank nor a factor moves a
+    bit, whatever the pieces and on any number of cores. Beside the state
+    and the factors, a cut holds one buffer per half and one QR copy per
+    thread, each a piece: README "Width" has the peaks.
     """
     if set(cut.left) | set(cut.right) != set(state.wires):
         raise WireError("cut does not cover exactly the state's wires")
@@ -813,23 +842,44 @@ def schmidt_factor(
     # vectors. QR is backward-stable, so the rank test keeps its meaning (a
     # Gram matrix would square the tolerance).
     flip = len(left_wires) < len(right_wires)
-    blocks, gather = _row_blocks(state, scaled, right_wires if flip else left_wires)
-    block, cols = blocks.shape[-2:]
-    stack = blocks.shape[len(batch) : -2]
+    view, shape, in_place = _row_blocks(state, scaled, right_wires if flip else left_wires)
+    block, cols = shape[-2:]
+    stack = shape[len(batch) : -2]
     parts = _bits(_split(scaled.size, len(stack)))
+    # a half's pieces run over the stack axes after its own and keep the
+    # rest, as many as about _ROWS amplitudes hold
+    keep = max(0, (_ROWS // (math.prod(batch) * block * cols)).bit_length() - 1)
+    keep = min(len(stack) - len(parts[0]), keep)
     lead = (slice(None),) * len(batch)
+    keys = [[lead + part + bits for bits in _bits(len(stack) - len(part) - keep)] for part in parts]
+    piece = batch + (2,) * keep + (block, cols)
+    buffers = None if in_place else np.empty((len(parts),) + piece, dtype=complex)
+
+    def rows(p: int, key: tuple) -> np.ndarray:
+        # the row blocks at key: a view, or gathered into half p's buffer
+        if buffers is None:
+            return view[key].reshape(piece)
+        src, dst = view[key], buffers[p].reshape(view[key].shape)
+        # numpy copies in the buffer's order, a row's columns innermost; a
+        # few columns are copied one at a time, along the rows' stretches in
+        # the layout: on a 2-core x86-64 VM the row blocks of a one-wire cut
+        # at w12 of 20 wires took 1.6 ms to gather on one thread, against
+        # 4.0-4.6 ms in one copy
+        for column in _bits(cols.bit_length() - 1 if cols <= _LINE else 0):
+            np.copyto(dst[(...,) + column], src[(...,) + column])
+        return buffers[p]
+
     # TSQR's first level; a matrix of one block goes to the SVD as it is
-    first = blocks
     if stack:
         first = np.empty(batch + stack + (cols, cols), dtype=complex)
 
-        def half(p: int) -> None:
-            gather(parts[p])
-            first[lead + parts[p]] = np.linalg.qr(blocks[lead + parts[p]], mode="r")
+        def factor(p: int) -> None:
+            for key in keys[p]:
+                first[key] = np.linalg.qr(rows(p, key), mode="r")
 
-        _share(len(parts), half)
+        _share(len(parts), factor)
     else:
-        gather(())
+        first = rows(0, keys[0][0])
     _, sv, vh = np.linalg.svd(_reduce_rows(first, batch, block), full_matrices=False)
     rank = (sv > tol * sv[..., :1]).sum(-1)
     if not _all(rank == 1):
@@ -837,12 +887,12 @@ def schmidt_factor(
     small = vh[..., 0, :]
     # the large factor by row blocks, each one BLAS call below _GEMV_BLOCK
     step = min(block, max(1, _GEMV_BLOCK // cols))
-    steps = blocks.reshape(batch + stack + (-1, step, cols))
-    conj = small.conj().reshape(batch + (1,) * (len(stack) - len(parts[0]) + 1) + (cols, 1))
-    big = np.empty(steps.shape[:-1] + (1,), dtype=complex)
+    conj = small.conj().reshape(batch + (1,) * (keep + 1) + (cols, 1))
+    big = np.empty(batch + stack + (block // step, step, 1), dtype=complex)
 
     def large(p: int) -> None:
-        np.matmul(steps[lead + parts[p]], conj, out=big[lead + parts[p]])
+        for key in keys[p]:
+            np.matmul(rows(p, key).reshape(piece[:-2] + (-1, step, cols)), conj, out=big[key])
 
     _share(len(parts), large)
     big = big.reshape(batch + (-1,))
@@ -859,42 +909,31 @@ def schmidt_factor(
 
 def _row_blocks(
     state: PureState, amps: np.ndarray, tall: tuple[str, ...]
-) -> tuple[np.ndarray, Callable[[tuple[int, ...]], None]]:
-    """The cut matrix with `tall`'s wires as rows, as a stack of row blocks, and its gather.
+) -> tuple[np.ndarray, tuple[int, ...], bool]:
+    """The cut matrix with `tall`'s wires as rows, as a stack of row blocks: (view, shape, in place).
 
-    `amps` is laid out as `state`'s. The stack has shape (batch..., 2, ...,
-    2, block, cols): one axis per wire of `tall` above the last log2(block),
+    `amps` is laid out as `state`'s, and `view` is its wire view with
+    `tall`'s wires first. The stack has `shape`, (batch..., 2, ..., 2,
+    block, cols): one axis per wire of `tall` above the last log2(block),
     in state order, then a block's rows and the columns, over the other
     wires in state order. A block has max(2 * cols, _GEMV_BLOCK // cols)
     rows, or every row when there are fewer: the whole matrix of a state of
-    at most 11 wires. Where a block's row wires lie next to one another in
-    the layout, and so do the column wires, the stack is a view of `amps`
-    and the gather is None, as for a one-wire short side at the end of a
-    20-wire state or with at least 10 wires after it. Elsewhere the stack is
-    allocated empty, and `gather(part)` copies in the piece that the bits
-    `part` index on its first axes; `gather(())` copies all of it. Either
-    way the stack is what numpy's reshape of the wire view gives, in values
-    and in layout.
+    at most 11 wires. The stack is in place where a block's row wires lie
+    next to one another in the layout, and so do the column wires: then
+    numpy's reshape of any part of `view` that keeps whole blocks is a view
+    of `amps`, as for a one-wire short side at the end of a 20-wire state or
+    with at least 10 wires after it. Elsewhere that reshape is a gather.
     """
     rows, cols = 1 << len(tall), 1 << (state.n_wires - len(tall))
     block = min(rows, max(2 * cols, _GEMV_BLOCK // cols))
     view = _wire_view(state, tall, amps, "cut")
     batch_rank = amps.ndim - 1
     lead, cut = batch_rank + len(tall) - (block.bit_length() - 1), batch_rank + len(tall)
-    shape = view.shape[:lead] + (block, cols)
     # numpy merges the axes of a block's rows, and those of its columns,
     # without a copy when each stride is twice the next
     strides = view.strides
-    if all(strides[i] == 2 * strides[i + 1] for i in range(lead, view.ndim - 1) if i != cut - 1):
-        return view.reshape(shape), lambda part: None
-    blocks = np.empty(shape, dtype=complex)
-    batch = (slice(None),) * batch_rank
-
-    def gather(part: tuple[int, ...]) -> None:
-        piece = view[batch + part]
-        np.copyto(blocks[batch + part].reshape(piece.shape), piece)
-
-    return blocks, gather
+    in_place = all(strides[i] == 2 * strides[i + 1] for i in range(lead, view.ndim - 1) if i != cut - 1)
+    return view, view.shape[:lead] + (block, cols), in_place
 
 
 def _reduce_rows(first: np.ndarray, batch: tuple[int, ...], block: int) -> np.ndarray:

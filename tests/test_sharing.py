@@ -304,17 +304,34 @@ def test_each_kernel_shares_two_halves_from_2_18_amplitudes(shares, kernel, n):
     assert len(tasks) == (calls if n == 18 else 0)
 
 
+def row_blocks(s, right):
+    """The stack of row blocks of the cut of `right` from `s`: numpy's reshape of the wire view.
+
+    The wire view, the tall side's wires first, is built here from numpy
+    alone. The stack is (batch..., 2, ..., 2, block, cols), a view of the
+    amplitudes where numpy can merge the axes of a block and a gather
+    elsewhere.
+    """
+    batch = s.amps.shape[:-1]
+    tall = [i for i, w in enumerate(s.wires) if w not in right]
+    short = [i for i, w in enumerate(s.wires) if w in right]
+    rows, cols = 1 << len(tall), 1 << len(short)
+    block = min(rows, max(2 * cols, state._GEMV_BLOCK // cols))
+    axes = tuple(range(len(batch))) + tuple(len(batch) + i for i in tall + short)
+    view = s.amps.reshape(batch + (2,) * s.n_wires).transpose(axes)
+    return view.reshape(batch + (2,) * (len(tall) - block.bit_length() + 1) + (block, cols))
+
+
 def one_serial_pass(s, right):
     """Rank and factors of the cut of `right` from `s`, each step one call over the whole stack of row blocks.
 
     Every TSQR level runs here, not through ``state._reduce_rows`` or
     ``state._share``, so the pass stays independent of the code it checks.
     """
-    scaled, _, shift = state._in_range(s)
+    _, _, shift = state._in_range(s)
     assert np.all(shift == 0)
     batch = s.amps.shape[:-1]
-    blocks, gather = state._row_blocks(s, scaled, tuple(w for w in s.wires if w not in right))
-    gather(())
+    blocks = row_blocks(s, right)
     block, cols = blocks.shape[-2:]
     reduced = blocks
     while reduced.ndim > len(batch) + 2:
@@ -337,7 +354,7 @@ def assert_one_serial_pass(s, right, view):
     which the cases below rely on to cover both the view and the gather.
     """
     tall = tuple(w for w in s.wires if w not in right)
-    assert np.shares_memory(state._row_blocks(s, s.amps, tall)[0], s.amps) == view
+    assert np.shares_memory(row_blocks(s, right), s.amps) == view
     rank, factors = schmidt_factor(s, Bipartition(frozenset(tall), frozenset(right)))
     serial_rank, big, small = one_serial_pass(s, right)
     assert np.all(rank == serial_rank) and np.all(serial_rank == 1)
@@ -390,6 +407,34 @@ def test_schmidt_factor_of_a_stacked_batch_keeps_the_bits_of_one_serial_pass(pos
 def test_schmidt_factor_of_a_two_wire_cut_keeps_the_bits_of_one_serial_pass(n, right):
     s, _, _ = product_on_cut(np.random.default_rng(n), n, right, 1)
     assert_one_serial_pass(s, right, False)
+
+
+# Each half reads its row blocks in pieces of at most state._ROWS amplitudes,
+# counted over a batch: here at least four to a half. One-wire cuts of 18
+# and 20 wires as a view and as a gather, a batch of four 16-wire states as
+# a view and as a gather, and the two-wire cut of 20 wires, gathered. Where
+# a half of several pieces is gathered, both passes gather each piece anew
+# into the half's one buffer
+@pytest.mark.parametrize("n, right, size, view", [
+    (18, ("w3",), 1, True), (18, ("w12",), 1, False), (20, ("w5",), 1, True), (20, ("w14",), 1, False),
+    (16, ("w1",), 4, True), (16, ("w10",), 4, False), (20, ("w10", "w11"), 1, False),
+])
+def test_schmidt_factor_in_pieces_keeps_the_bits_of_one_serial_pass(monkeypatch, n, right, size, view):
+    rng = np.random.default_rng(n + size + int(right[0][1:]))
+    elements = [product_on_cut(rng, n, right, 1)[0] for _ in range(size)]
+    s = PureState(elements[0].wires, np.stack([e.amps for e in elements]) if size > 1 else elements[0].amps)
+    qr, sizes = np.linalg.qr, []
+
+    def recorded(a, mode="reduced"):
+        # list.append is one call under the GIL, safe from either thread
+        sizes.append(a.size)
+        return qr(a, mode=mode)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "qr", recorded)
+        schmidt_factor(s, Bipartition(frozenset(s.wires) - set(right), frozenset(right)))
+    assert max(sizes) <= state._ROWS and sizes.count(state._ROWS) >= 2 * 4
+    assert_one_serial_pass(s, right, view)
 
 
 # rank and factor bytes of one-wire cuts of product states at a view and a

@@ -4,12 +4,15 @@ Run as ``python tools/code_lines.py src/everettsim/*.py``; it prints one
 ``<lines> <path>`` line per file and the total. A line counts when a token
 other than a comment starts or continues on it, so a statement spread over
 several lines counts each of them. A docstring is the string that opens a
-module, class or function body; its lines do not count.
+module, class or function body; its lines do not count. A reader that
+closes the pipe early, as ``| head -1`` does, ends the count with exit 1 and
+nothing on stderr.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import sys
 import tokenize
 
@@ -62,4 +65,13 @@ def main(paths: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        # a reader that has gone shows here, not in the flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe, as everettsim's cli.main follows it: with
+        # stdout on devnull the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
