@@ -26,10 +26,9 @@ parsed once per process and run by the interpreter's step executor
 from its register layout, a closed-form check after the template's first
 gate, and its own readout of the final state.
 
-Teleportation runs on a batch of input qubits at once
-(``run_teleport_batch``): the world's state then carries a leading batch
-axis through the same steps, and every self-check holds element by element.
-``run_teleport`` is a batch of one.
+Every step acts on one state, so ``run_teleport`` makes the numpy calls the
+interpreter makes on the same program, and its final state has the bytes
+of ``exec_circuit(parse_circuit(teleport_source(alpha, beta)))``.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -75,20 +74,6 @@ class ProtocolError(RuntimeError):
 
 class LocalityError(ProtocolError):
     """A gate touched a wire its actor does not hold."""
-
-
-def _check_each(ok, describe: Callable[[int], str], error: type = ProtocolError) -> None:
-    """Raise error(describe(i)) for the first element i at which ok is false.
-
-    ok is one flag for a single state, or one per element of a batch; an
-    element of a batch of more than one is named by its index.
-    """
-    flags = np.asarray(ok)
-    if flags.all():
-        return
-    i = int(np.argmin(flags.reshape(-1)))
-    text = describe(i)
-    raise error(text if flags.size == 1 else f"batch element {i}: {text}")
 
 
 @dataclass(frozen=True)
@@ -223,16 +208,16 @@ def apply_local(
                 f"{actor.value} cannot act on wire {t!r} held by {holder.value}"
             )
     state = apply(gate, targets, world.state)
-    _check_each(
-        norm_drift(world.state, state) <= 1e-9, lambda i: _norm_message(gate, world.state, i)
-    )
+    # a nan drift fails too
+    if not norm_drift(world.state, state) <= 1e-9:
+        raise ProtocolError(_norm_message(gate, world.state))
     event = GateEvent(gate.name or f"U{gate.arity}", targets, actor.value)
     return ProtocolWorld(state, world.location, world.trace + (event,))
 
 
-def _norm_message(gate: UnitaryGate, before: PureState, i: int) -> str:
-    """Why the gate's result for element i failed the norm check."""
-    amps = before.amps.reshape(-1, before.amps.shape[-1])[i]
+def _norm_message(gate: UnitaryGate, before: PureState) -> str:
+    """Why the gate's result failed the norm check."""
+    amps = before.amps
     peak = max(np.abs(amps.real).max(), np.abs(amps.imag).max())
     smallest_normal = np.finfo(float).tiny
     if peak < smallest_normal:
@@ -311,13 +296,6 @@ class SuperdenseResult:
 
 @dataclass(frozen=True, eq=False)
 class TeleportResult:
-    """One teleport, or a batch of them from ``run_teleport_batch``.
-
-    For a batch, input holds the two input arrays, fidelity one value per
-    element, and bob_qubit, pointer_side and the world's state are batches;
-    the b-cut rank is 1 for every element.
-    """
-
     input: tuple[complex, complex]
     bob_qubit: PureState
     fidelity: float
@@ -451,12 +429,11 @@ def _measured_superposition(alpha, beta) -> PureState:
     """The four-branch state after Alice's Bell measurement, wires (E1,E2,u,a,b).
 
     Branch (x, y) holds bell(x, y) on (u, a) and the residual table's row
-    (x, y) applied to (alpha, beta) on b. Arrays of inputs give a batch.
+    (x, y) applied to (alpha, beta) on b.
     """
-    inputs = np.stack(np.broadcast_arrays(alpha, beta), axis=-1).astype(complex)
-    residuals = (_TELEPORT_RESIDUALS @ inputs[..., None, :, None])[..., 0]
-    amps = _BELL_ROWS[:, :, None] * residuals[..., :, None, :]
-    return PureState._adopt(tuple(TELEPORT_WIRES), amps.reshape(inputs.shape[:-1] + (-1,)))
+    residuals = _TELEPORT_RESIDUALS @ np.array([alpha, beta], dtype=complex)
+    amps = _BELL_ROWS[:, :, None] * residuals[:, None, :]
+    return PureState._adopt(tuple(TELEPORT_WIRES), amps.reshape(-1))
 
 
 def pointer_bell_sum() -> PureState:
@@ -465,9 +442,13 @@ def pointer_bell_sum() -> PureState:
 
 
 def _phase_canonical(state: PureState) -> tuple[PureState, np.ndarray]:
-    """Rotate each state's global phase so its largest amplitude is real positive."""
+    """Rotate the state's global phase so its largest amplitude is real positive.
+
+    The phase is returned as an array of one element: numpy's array loops,
+    not its scalar arithmetic, divide and multiply by it.
+    """
     amps = state.amps
-    largest = np.take_along_axis(amps, np.argmax(np.abs(amps), axis=-1)[..., None], axis=-1)
+    largest = amps[[np.argmax(np.abs(amps))]]
     # libm's hypot, as the modulus of one numpy complex is; np.abs over an
     # array rounds differently in the last bit
     phase = largest / np.hypot(largest.real, largest.imag)
@@ -480,67 +461,35 @@ def run_teleport(alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> Tel
     The input need not be normalized; fidelity is computed on normalized
     copies. Raises ProtocolError if the mid-protocol state diverges from the
     expected four-branch form or the final state fails to factorize across
-    the b cut. It runs as a batch of one of ``run_teleport_batch``.
+    the b cut.
     """
-    batch = run_teleport_batch([alpha], [beta], tol)
-    world = batch.world
-    return TeleportResult(
-        input=(alpha, beta),
-        bob_qubit=batch.bob_qubit.element(0),
-        fidelity=float(batch.fidelity[0]),
-        schmidt_rank_b_cut=batch.schmidt_rank_b_cut,
-        pointer_side=batch.pointer_side.element(0),
-        world=ProtocolWorld(world.state.element(0), world.location, world.trace),
-    )
-
-
-def run_teleport_batch(
-    alphas: Sequence[complex], betas: Sequence[complex], tol: float = DEFAULT_TOL
-) -> TeleportResult:
-    """Teleport alphas[i]|0> + betas[i]|1> for every i, as one batched evolution.
-
-    The batch runs the template's steps once, on a state with one row per
-    input, and every self-check of ``run_teleport`` holds for each element:
-    locality, the norm, the four-branch form and the b-cut rank. The first
-    element that fails one raises, named by its index.
-    """
-    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
-    betas = np.asarray(betas, dtype=complex).reshape(-1)
-    if alphas.shape != betas.shape:
-        raise ValueError(f"{alphas.size} alphas but {betas.size} betas")
-    _check_each((alphas != 0) | (betas != 0), lambda i: "input qubit must be nonzero", ValueError)
-    initial = tensor(
-        basis_state(("E1", "E2"), (0, 0)),
-        qubit("u", alphas, betas),
-        bell(0, 0, ("a", "b")),
-    )
+    u = qubit("u", alpha, beta)
+    if not u.amps.any():
+        raise ValueError("input qubit must be nonzero")
+    initial = tensor(basis_state(("E1", "E2"), (0, 0)), u, bell(0, 0, ("a", "b")))
     world = init_wires(empty_world(), (initial,), TELEPORT_WIRES, ("teleport",))
-    del initial  # each batch-sized state lives only as long as the world holds it
     measure, send_and_correct = _template_steps(circuit.teleport_source, 1, 0)
 
     for stmt in measure:
         world = circuit.run_step(world, stmt, tol, [])
-    _check_each(
-        equal_up_to_phase(world.state, _measured_superposition(alphas, betas), tol),
-        lambda i: "post-measurement state diverged from the four-branch form",
-    )
+    if not equal_up_to_phase(world.state, _measured_superposition(alpha, beta), tol):
+        raise ProtocolError("post-measurement state diverged from the four-branch form")
 
     for stmt in send_and_correct:
         world = circuit.run_step(world, stmt, tol, [])
 
     cut = Bipartition(frozenset(TELEPORT_WIRES) - {"b"}, frozenset({"b"}))
     rank, factors = schmidt_factor(world.state, cut, tol)
-    _check_each(
-        rank == 1, lambda i: f"final state is not a product across the b cut (rank {rank[i]})"
-    )
+    if factors is None:
+        raise ProtocolError(f"final state is not a product across the b cut (rank {rank})")
     pointer_side, bob = factors
     bob, phase = _phase_canonical(bob)
     pointer_side = PureState._adopt(pointer_side.wires, pointer_side.amps * phase)
     return TeleportResult(
-        input=(alphas, betas),
+        input=(alpha, beta),
         bob_qubit=bob,
-        fidelity=fidelity(bob, qubit("b", alphas, betas)),
-        schmidt_rank_b_cut=1,
+        fidelity=fidelity(bob, qubit("b", alpha, beta)),
+        schmidt_rank_b_cut=rank,
         pointer_side=pointer_side,
         world=world,
     )

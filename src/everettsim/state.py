@@ -6,11 +6,8 @@ first wire most significant. Vectors are deliberately not normalized; all
 equality checks are up to a complex scale, and probabilities are computed on
 normalized copies.
 
-A state may also be a batch: amplitudes of shape (B, 2^n), one state per
-row, all over the same wires. The kernels (``apply``, the squared norms,
-``norm_drift``, ``equal_up_to_phase``, ``fidelity``, ``schmidt_factor``)
-work along the last axis, so one code path serves a single state and a
-batch, and return one value per element for a batch.
+A state is always one vector of 2^n amplitudes, and every kernel returns
+plain Python scalars.
 
 One helper, ``_bit_view``, owns the memory layout: it alone reshapes
 amplitudes to one axis of 2 per wire and transposes them, the wires a
@@ -83,25 +80,22 @@ _COLUMN_ROWS = 1 << 10
 # every column is written, instead of fetching them again from memory.
 _ROW_CHUNK = 1 << 13
 # apply's block product gathers, multiplies and scatters this many amplitudes
-# at a time (counted over a batch), through two buffers of 128 KiB that stay
-# in a core's L2 cache; each half of a shared call has two of its own.
-# On a 2-core x86-64 VM (glibc 2.36), in a fresh
-# process, allocating and touching two buffers of 2**14 amplitudes took
-# 170-215 us against 11 us for 2**13, and after one `verify`, check 6's
-# cu_meas on 1000 five-wire states took 1.65 ms against 0.94-1.11 ms. At 20
-# wires cu_meas took about 3% longer than with 2**14 and 10% less than with
-# 2**12.
+# at a time, through two buffers of 128 KiB that stay in a core's L2 cache;
+# each half of a shared call has two of its own. On a 2-core x86-64 VM
+# (glibc 2.36), in a fresh process, allocating and touching two buffers of
+# 2**14 amplitudes took 170-215 us against 11 us for 2**13. At 20 wires
+# cu_meas took about 3% longer than with 2**14 and 10% less than with 2**12.
 _CHUNK = 1 << 13
-# from this many amplitudes (counted over a batch) a kernel runs as two
-# halves, one of them on the worker thread; _split has the measurements
+# from this many amplitudes a kernel runs as two halves, one of them on the
+# worker thread; _split has the measurements
 _PIECE = 1 << 18
 # schmidt_factor reads the row blocks of a half in pieces of about this many
-# amplitudes (counted over a batch), so neither its gather nor np.linalg.qr's
-# copy of its input grows with the state. On a 2-core x86-64 VM a one-wire cut
-# of 20 wires held 0.54, 0.57, 0.63 and 0.75 times the state beside it
-# (tracemalloc, gathered at w12) with pieces of 2**14, 2**15, 2**16 and 2**17,
-# and 0.63, 0.76, 1.0 and 1.5 at 18 wires; averaged over the 20 positions
-# it took 9.4-9.5, 8.5-9.6 and 9.2-10.3 ms with the first three, in three
+# amplitudes, so neither its gather nor np.linalg.qr's copy of its input
+# grows with the state. On a 2-core x86-64 VM a one-wire cut of 20 wires
+# held 0.54, 0.57, 0.63 and 0.75 times the state beside it (tracemalloc,
+# gathered at w12) with pieces of 2**14, 2**15, 2**16 and 2**17, and 0.63,
+# 0.76, 1.0 and 1.5 at 18 wires; averaged over the 20 positions it took
+# 9.4-9.5, 8.5-9.6 and 9.2-10.3 ms with the first three, in three
 # alternating processes each, against 5.2-6.3 ms with one QR call per half
 _ROWS = 1 << 15
 
@@ -131,8 +125,8 @@ class PureState:
     ``amps[i]`` is the amplitude of the basis state whose bit string is the
     binary expansion of ``i`` over the wires (first wire = most significant
     bit). Amplitudes must be finite; the all-zero vector is representable but
-    rejected by every analytical operation. A 2-D ``amps`` is a batch, one
-    state per row; any other shape is flattened into one state.
+    rejected by every analytical operation. ``amps`` of any shape is
+    flattened into one vector.
 
     The constructor copies and validates its input. The kernels in this
     package hand their results over through ``_adopt`` instead, which takes
@@ -150,15 +144,11 @@ class PureState:
                 raise WireError(f"bad wire label {w!r}")
         if len(set(wires)) != len(wires):
             raise WireError(f"duplicate wire labels in {wires}")
-        amps = np.array(self.amps, dtype=complex)
-        if amps.ndim != 2:
-            amps = amps.reshape(-1)
-        if amps.shape[-1] != 1 << len(wires):
+        amps = np.array(self.amps, dtype=complex).reshape(-1)
+        if amps.size != 1 << len(wires):
             raise StateError(
-                f"{len(wires)} wires need {1 << len(wires)} amplitudes, got {amps.shape[-1]}"
+                f"{len(wires)} wires need {1 << len(wires)} amplitudes, got {amps.size}"
             )
-        if amps.size == 0:
-            raise StateError("a batch needs at least one state")
         object.__setattr__(self, "wires", wires)
         self._seal(amps)
 
@@ -167,9 +157,8 @@ class PureState:
         """A state over ``amps`` as it is, without a copy.
 
         The caller vouches that ``wires`` are valid and distinct, that ``amps``
-        is a complex vector of the matching length, or a non-empty batch of
-        them, and that nothing
-        writes to it afterwards: an array the caller has just allocated, or a
+        is a complex vector of the matching length, and that nothing writes to
+        it afterwards: an array the caller has just allocated, or a
         view of another state's read-only amplitudes. Only the finiteness
         check runs.
         """
@@ -182,7 +171,7 @@ class PureState:
         norm_sq = _sum_sq(amps)
         # a finite sum of squares proves every amplitude finite; only an
         # overflowed (or nan) one needs the element-wise scan
-        if not _all(np.isfinite(norm_sq)) and not np.isfinite(amps).all():
+        if not np.isfinite(norm_sq) and not np.isfinite(amps).all():
             raise StateError("non-finite amplitude")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -193,38 +182,16 @@ class PureState:
         return len(self.wires)
 
     @property
-    def norm_sq(self) -> float | np.ndarray:
-        """The plain sum of squares, which rounds to 0, inf or nan far from unit scale.
-
-        One value per element for a batch.
-        """
-        return _per_state(self._norm_sq)
-
-    def element(self, i: int) -> PureState:
-        """State i of a batch, sharing its read-only amplitudes.
-
-        A negative i counts from the end, as a Python index does, and a bool
-        reads as its int; an i that is not an integer, or lies outside [-B, B)
-        for a batch of B, raises StateError.
-        """
-        if self.amps.ndim != 2:
-            raise StateError("only a batch has elements")
-        if not isinstance(i, (int, np.integer, np.bool_)):
-            raise StateError(f"element index must be an integer, got {i!r}")
-        # numpy reads a bool index as a mask; a bool here reads as its int
-        i = int(i)
-        size = self.amps.shape[0]
-        if not -size <= i < size:
-            raise StateError(f"element {i} is outside a batch of {size}")
-        return PureState._adopt(self.wires, self.amps[i])
+    def norm_sq(self) -> float:
+        """The plain sum of squares, which rounds to 0, inf or nan far from unit scale."""
+        return float(self._norm_sq)
 
     def index_of(self, bits: Sequence[int]) -> int:
         """Basis index of a full wire assignment."""
         return _pack(bits, self.n_wires)
 
     def __repr__(self) -> str:
-        batch = f", batch={self.amps.shape[0]}" if self.amps.ndim == 2 else ""
-        return f"PureState(wires={self.wires}, dim={self.amps.shape[-1]}{batch})"
+        return f"PureState(wires={self.wires}, dim={self.amps.size})"
 
 
 def _bit(value: object) -> int | None:
@@ -265,18 +232,16 @@ def basis_state(wires: Sequence[str], bits: Sequence[int]) -> PureState:
 
 
 def qubit(wire: str, amp0: complex, amp1: complex) -> PureState:
-    """Single-wire state amp0|0> + amp1|1>; a batch when amp0 and amp1 are sequences."""
-    return PureState((wire,), np.array([amp0, amp1], dtype=complex).T)
+    """Single-wire state amp0|0> + amp1|1>."""
+    return PureState((wire,), np.array([amp0, amp1], dtype=complex))
 
 
 def tensor(*states: PureState) -> PureState:
     """Tensor product; wire lists concatenate, amplitudes take the outer product.
 
-    At most one factor may be a batch; the product is then a batch too, each
-    of its rows tensored with the single states. However many factors there
-    are, the product is written into one buffer of its final size
-    (``_product``), with the products of chained ``np.kron``, bit for bit:
-    on a 2-core x86-64 VM, the 17 one- and two-wire inits of a 20-wire
+    However many factors there are, the product is written into one buffer
+    of its final size (``_product``), with the products of chained
+    ``np.kron``, bit for bit: on a 2-core x86-64 VM, the 17 one- and two-wire inits of a 20-wire
     program took 8.8-9.0 ms as one product against 17.3-18.6 ms as 16
     products of two factors, each in a new buffer. A product that leaves
     the float range raises StateError: one that overflows, and one that
@@ -284,8 +249,6 @@ def tensor(*states: PureState) -> PureState:
     """
     if not states:
         raise StateError("tensor needs at least one state")
-    if sum(s.amps.ndim == 2 for s in states) > 1:
-        raise StateError("tensor takes at most one batch among its factors")
     wires: tuple[str, ...] = ()
     for s in states:
         overlap = set(wires) & set(s.wires)
@@ -303,21 +266,16 @@ def tensor(*states: PureState) -> PureState:
         # every factor is finite, so only an overflow makes the product not
         raise StateError("tensor product overflows the float range") from None
     # a zero sum of squares may hide nonzero amplitudes, so look at them
-    if not _all(product._norm_sq != 0.0):
-        lost = ~amps.any(-1)
-        for s in states:
-            lost &= s.amps.any(-1)
-        if lost.any():
-            raise StateError("tensor product of nonzero factors rounds to the zero vector")
+    if product._norm_sq == 0.0 and not amps.any() and all(s.amps.any() for s in states):
+        raise StateError("tensor product of nonzero factors rounds to the zero vector")
     return product
 
 
 def _product(factors: list[np.ndarray]) -> np.ndarray:
-    """The outer product of two or more factors along the last axis, flattened, in one new buffer.
+    """The outer product of two or more factors, flattened, in one new buffer.
 
-    At most one factor is a batch; broadcasting pairs its rows with the
-    single states. Every amplitude is ((a[i] * b[j]) * c[k]) * ..., the
-    products of chained np.kron, operands in that order.
+    Every amplitude is ((a[i] * b[j]) * c[k]) * ..., the products of
+    chained np.kron, operands in that order.
 
     The buffer holds the running product, flattened, in its first
     amplitudes. The first step reads factors[0] itself; each later step
@@ -328,33 +286,32 @@ def _product(factors: list[np.ndarray]) -> np.ndarray:
 
     A broadcast product loops over the factor innermost, which is slow when
     the factor holds only a few amplitudes. A factor that fits in one cache
-    line, in a step of at least _COLUMN_ROWS rows (counted over a batch),
-    is therefore written one column (one amplitude of the factor) at a
-    time, in chunks of _ROW_CHUNK rows: on a 2-core x86-64 VM a 2**19 x 2
-    product took 5.7 ms broadcast and 1.7 ms by columns. Any other step is
-    one broadcast product, which reads a copy of the running product: left
-    to itself, numpy runs a product whose output is its input in place,
-    and numpy 2.4's in-place complex product rounds some results
-    differently in the last bit.
+    line, in a step of at least _COLUMN_ROWS rows, is therefore written
+    one column (one amplitude of the factor) at a time, in chunks of
+    _ROW_CHUNK rows: on a 2-core x86-64 VM a 2**19 x 2 product took 5.7 ms
+    broadcast and 1.7 ms by columns. Any other step is one broadcast
+    product, which reads a copy of the running product: left to itself,
+    numpy runs a product whose output is its input in place, and numpy
+    2.4's in-place complex product rounds some results differently in the
+    last bit.
     """
-    batch = next((f.shape[:-1] for f in factors if f.ndim == 2), ())
     buffer = np.empty(math.prod(f.size for f in factors), dtype=complex)
-    src = factors[0].reshape(-1)
+    src = factors[0]
     for step, factor in enumerate(factors[1:]):
-        rows, cols = src.size, factor.shape[-1]
-        out = buffer[: rows * factor.size].reshape(factor.shape[:-1] + (rows, cols))
-        if cols <= _LINE and out.size >= _COLUMN_ROWS * cols:
+        rows, cols = src.size, factor.size
+        out = buffer[: rows * cols].reshape(rows, cols)
+        if cols <= _LINE and rows >= _COLUMN_ROWS:
             for start in reversed(range(0, rows, _ROW_CHUNK)):
                 stop = min(start + _ROW_CHUNK, rows)
                 chunk = src[start:stop]
                 if step and start * cols < stop:
                     chunk = chunk.copy()
                 for j in range(cols):
-                    np.multiply(chunk, factor[..., j : j + 1], out=out[..., start:stop, j])
+                    np.multiply(chunk, factor[j : j + 1], out=out[start:stop, j])
         else:
-            np.multiply((src.copy() if step else src)[:, None], factor[..., None, :], out=out)
+            np.multiply((src.copy() if step else src)[:, None], factor[None, :], out=out)
         src = buffer[: out.size]
-    return buffer.reshape(batch + (-1,))
+    return buffer
 
 
 # the executor of each process, by process id
@@ -444,10 +401,9 @@ def _split(amps: int, axes: int) -> int:
 
     The one sharing rule of every kernel: apply's slice moves and block
     product, and schmidt_factor's first TSQR level and large factor. From
-    _PIECE amplitudes (counted over a batch) a kernel runs as two halves,
-    one per value of its first free wire axis, which ``_share`` hands to
-    this thread and the worker; below, or with no free axis, it is one
-    piece and runs inline. A half is the calls one pass would make on its
+    _PIECE amplitudes a kernel runs as two halves, one per value of its
+    first free wire axis, which ``_share`` hands to this thread and the
+    worker; below, or with no free axis, it is one piece and runs inline. A half is the calls one pass would make on its
     part, so neither rule nor core count moves a bit.
 
     Measured on a 2-core x86-64 VM (numpy 2.4.6, OpenBLAS 0.3.31), medians
@@ -458,10 +414,9 @@ def _split(amps: int, axes: int) -> int:
     amplitudes stands for work only roughly. cu_meas took 0.41-0.43 ms
     inline against 0.35-0.47 ms shared at 16 wires, 0.78-0.79 against
     0.63-0.85 ms at 17, and 5.2-5.4 ms at 20 wires both as two halves and
-    as 128 chunks. A batch of 20,000 5-wire states has no free wire axis
-    and runs inline: cu_meas took 10.1-10.2 ms against 10.8-12.2 ms
-    shared. sigma11, u_b, cu_sigma and a one-wire cut at 20 wires moved
-    less than their spread between runs, two halves against eight pieces.
+    as 128 chunks. sigma11, u_b, cu_sigma and a one-wire cut at 20 wires
+    moved less than their spread between runs, two halves against eight
+    pieces.
     TSQR's first level at 20 wires (512 blocks of 1024x2) took 2.2 ms as
     two halves, one np.linalg.qr call each, against 3.7 ms as one call and
     3.4 ms as eight pieces. _sum_sq and TSQR's later levels stay on one
@@ -490,8 +445,7 @@ def _split(amps: int, axes: int) -> int:
 def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureState:
     """Apply a gate to the designated wires, identity on all others.
 
-    The gate's matrix alone picks the path, the same for a single state and
-    a batch at every width; a single state runs as a batch of one. Both
+    The gate's matrix alone picks the path, the same at every width. Both
     paths see the input and a fresh result through ``_bit_view``. A phased
     permutation (``gate.monomial``) views them with the targets first and
     moves slices: the slice of the result whose target bits spell an entry's
@@ -501,8 +455,8 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
     ``_block_plan`` returns: each block, the target rows of one value of the
     other wires but a few column wires, is multiplied by the matrix in one
     BLAS call below _GEMM_BLOCK. The blocks go chunk by chunk: a chunk of
-    about _CHUNK amplitudes, several blocks and batch elements, is copied
-    once into a contiguous stack of blocks, multiplied by one ``np.matmul``
+    about _CHUNK amplitudes, several blocks, is copied once into a
+    contiguous stack of blocks, multiplied by one ``np.matmul``
     (a BLAS call per block) and written back into the result by one
     assignment. Every amplitude is one dot over the matrix's columns in the
     same order whatever the chunk, so chunking changes no bit. Both paths
@@ -516,40 +470,34 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
         raise StateError(f"gate acts on {gate.arity} wires, got {k} targets")
     n = state.n_wires
     front = _positions(state, targets, "target")
-    out = np.empty(state.amps.shape, dtype=complex)
-    # a single state is a batch of one here
-    amps, result = state.amps.reshape(-1, 1 << n), out.reshape(-1, 1 << n)
+    amps, out = state.amps, np.empty(state.amps.size, dtype=complex)
     if gate.monomial is not None:
-        src, dst = _bit_view(amps, n, front), _bit_view(result, n, front)
-        index = _target_index(k)
+        src, dst = _bit_view(amps, n, front), _bit_view(out, n, front)
+        index = _bits(k)
         parts = _bits(_split(amps.size, n - k))
 
         def moves(p: int) -> None:
-            # every slice move, over one value of the first other wire
+            # every slice move, over one value of the first other wire; the
+            # trailing ... keeps a slice of one amplitude an array
+            part = parts[p] + (...,)
             for row, col, entry in gate.monomial:
-                _move(src[index[col] + parts[p]], entry, dst[index[row] + parts[p]])
+                _move(src[index[col] + part], entry, dst[index[row] + part])
 
         _share(len(parts), moves)
         return PureState._adopt(state.wires, out)
-    order, outer, per, block = _block_plan(n, front)
-    src, dst = _bit_view(amps, n, order), _bit_view(result, n, order)
-    elements = src.shape[0]
-    per = min(per, elements)
+    order, outer, block = _block_plan(n, front)
+    src, dst = _bit_view(amps, n, order), _bit_view(out, n, order)
     parts = _bits(_split(amps.size, outer))
     loops = _bits(outer - len(parts[0]))
 
     def chunks(p: int) -> None:
-        gathered = np.empty((per * block[0],) + block[1:], dtype=complex)
-        product = np.empty_like(gathered)
-        for start in range(0, elements, per):
-            run = min(per, elements - start)
-            shape = (run,) + src.shape[1 + outer :]
-            stack, results = gathered[: run * block[0]], product[: run * block[0]]
-            for loop in loops:
-                key = (slice(start, start + run),) + parts[p] + loop
-                np.copyto(stack.reshape(shape), src[key])
-                np.matmul(gate.matrix, stack, out=results)
-                dst[key] = results.reshape(shape)
+        stack, results = np.empty(block, dtype=complex), np.empty(block, dtype=complex)
+        shape = src.shape[outer:]
+        for loop in loops:
+            key = parts[p] + loop
+            np.copyto(stack.reshape(shape), src[key])
+            np.matmul(gate.matrix, stack, out=results)
+            dst[key] = results.reshape(shape)
 
     _share(len(parts), chunks)
     return PureState._adopt(state.wires, out)
@@ -565,13 +513,12 @@ def _wire_view(state: PureState, wires: tuple[str, ...], amps: np.ndarray, role:
 
 
 def _bit_view(amps: np.ndarray, n: int, front: tuple[int, ...]) -> np.ndarray:
-    """`amps` over n wires viewed as (batch..., 2, ..., 2), the wires at positions `front` first.
+    """`amps` over n wires viewed as (2, ..., 2), the wires at positions `front` first.
 
-    The batch axes come first, then one axis per wire: those at `front` in
-    its order, then the others in state order.
+    One axis per wire: those at `front` in its order, then the others in
+    state order.
     """
-    batch = amps.shape[:-1]
-    return amps.reshape(batch + (2,) * n).transpose(_axis_plan(n, front, len(batch)))
+    return amps.reshape((2,) * n).transpose(_axis_plan(n, front))
 
 
 def _positions(state: PureState, wires: tuple[str, ...], role: str) -> tuple[int, ...]:
@@ -588,29 +535,27 @@ def _positions(state: PureState, wires: tuple[str, ...], role: str) -> tuple[int
 # bounded: a long program's random target choices would otherwise grow it for
 # the life of the process
 @lru_cache(maxsize=4096)
-def _axis_plan(n: int, front: tuple[int, ...], batch_rank: int) -> tuple[int, ...]:
+def _axis_plan(n: int, front: tuple[int, ...]) -> tuple[int, ...]:
     """The transpose _bit_view takes for the wire positions `front`."""
-    rest = tuple(i for i in range(n) if i not in front)
-    return tuple(range(batch_rank)) + tuple(batch_rank + i for i in front + rest)
+    return front + tuple(i for i in range(n) if i not in front)
 
 
 @lru_cache(maxsize=4096)
 def _block_plan(
     n: int, targets: tuple[int, ...]
-) -> tuple[tuple[int, ...], int, int, tuple[int, int, int]]:
-    """How apply's block product cuts a batch of states over n wires into chunks.
+) -> tuple[tuple[int, ...], int, tuple[int, int, int]]:
+    """How apply's block product cuts a state over n wires into chunks.
 
-    Returns (order, outer, per, block). `order` holds the wire positions
-    that ``_bit_view`` puts after the batch axis: the loop wires, the targets
-    in gate order, then the column wires. The columns are the last `inner` other wires: as many as keep a
-    product with the matrix below _GEMM_BLOCK, the BLAS call's shape. The
-    chunks run over the batch, `per` elements at a time, and over the
-    first `outer` loop wires; a chunk of one element is `block`, (stacked
-    blocks, 2**k, 2**inner), about _CHUNK amplitudes. The column wires are
-    ordered by runs of neighbours in the layout, the longest run last, so
-    the gather into that buffer copies along the longest stretch it can:
-    after the last target there may be only a few amplitudes. A column's
-    place in the product does not change its sum.
+    Returns (order, outer, block). `order` holds the wire positions in the
+    order ``_bit_view`` puts them: the loop wires, the targets in gate order,
+    then the column wires. The columns are the last `inner` other wires: as
+    many as keep a product with the matrix below _GEMM_BLOCK, the BLAS
+    call's shape. The chunks run over the first `outer` loop wires; a chunk
+    is `block`, (stacked blocks, 2**k, 2**inner), about _CHUNK amplitudes.
+    The column wires are ordered by runs of neighbours in the layout, the
+    longest run last, so the gather into that buffer copies along the
+    longest stretch it can: after the last target there may be only a few
+    amplitudes. A column's place in the product does not change its sum.
     """
     k = len(targets)
     rest = [i for i in range(n) if i not in targets]
@@ -625,14 +570,7 @@ def _block_plan(
     columns = [i for run in sorted(runs, key=len) for i in run]
     stack = min(len(loops), max(0, (_CHUNK >> (k + inner)).bit_length() - 1))
     order = tuple(loops + list(targets) + columns)
-    per = max(1, _CHUNK >> (k + inner + len(loops)))
-    return order, len(loops) - stack, per, (1 << stack, 1 << k, 1 << inner)
-
-
-@lru_cache(maxsize=None)
-def _target_index(k: int) -> tuple[tuple, ...]:
-    """Entry i indexes the slice of a batch's targets-first view whose k target bits spell i."""
-    return tuple((slice(None),) + bits for bits in _bits(k))
+    return order, len(loops) - stack, (1 << stack, 1 << k, 1 << inner)
 
 
 def _move(src: np.ndarray, entry: complex, dst: np.ndarray) -> None:
@@ -648,85 +586,63 @@ def _move(src: np.ndarray, entry: complex, dst: np.ndarray) -> None:
 def inner_product(s1: PureState, s2: PureState) -> complex:
     """<s1|s2>, conjugate-linear in the first argument."""
     _check_pair(s1, s2)
-    return _per_state(_vdot(s1.amps, s2.amps))
+    return complex(_vdot(s1.amps, s2.amps))
 
 
 def _check_pair(s1: PureState, s2: PureState) -> None:
-    """The same wires in the same order; a batch pairs with a single state or a batch of its size."""
+    """The same wires in the same order."""
     if s1.wires != s2.wires:
         raise WireError(f"wire mismatch: {s1.wires} vs {s2.wires}")
-    b1, b2 = s1.amps.shape[:-1], s2.amps.shape[:-1]
-    if b1 and b2 and b1 != b2:
-        raise StateError(f"batch size mismatch: {b1[0]} vs {b2[0]}")
 
 
-def _per_state(values: np.ndarray | np.generic):
-    """A batch's values as an array, a single state's as a Python scalar.
+def _vdot(a: np.ndarray, b: np.ndarray) -> np.complex128:
+    """<a|b>, by the BLAS dot np.vdot calls, so the sum matches it bit for bit.
 
-    The kernels keep numpy values inside, whose methods cost little on a
-    scalar, and convert only what they return.
+    a is conjugated inside the dot, not copied.
     """
-    return values.item() if values.ndim == 0 else values
-
-
-def _all(flags: np.ndarray | np.bool_) -> bool:
-    """Whether every flag is set: one per element of a batch, or a single one."""
-    # a numpy scalar's own .all() costs more than the whole test of a small state
-    return bool(flags.all()) if flags.ndim else bool(flags)
-
-
-def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a|b> along the last axis, element by element over the batch axes.
-
-    One BLAS dot per element, the one np.vdot calls, so the sums match it bit
-    for bit; a is conjugated inside the dot, not copied.
-    """
-    # [()] makes a single state's 0-d result a numpy scalar, cheaper to use
+    # [()] makes the 0-d result a numpy scalar, cheaper to use
     return np.vecdot(a, b)[()]
 
 
-def _sum_sq(amps: np.ndarray) -> np.ndarray:
-    """The plain sum of squares along the last axis.
+def _sum_sq(amps: np.ndarray) -> np.float64:
+    """The plain sum of squares of a vector.
 
     Far from unit scale it may round to 0, inf or nan, silently, as np.vdot
     does; _in_range rescales such states.
     """
-    if amps.ndim == 1 and 1 < amps.size <= _DOT_BLOCK:
-        # np.vdot is no ufunc, so it overflows silently without np.errstate
-        # (about 1 us against 4 us on a 2-core x86-64 VM), and its sums are
-        # vecdot's; on one amplitude that overflows it may give nan where
-        # vecdot gives inf
-        return np.vdot(amps, amps).real
-    with np.errstate(all="ignore"):
-        if amps.shape[-1] <= _DOT_BLOCK:
-            return _vdot(amps, amps).real
+    if amps.size > _DOT_BLOCK:
         # the real and imaginary parts in blocks, each one BLAS dot of _DOT_BLOCK
-        batch = amps.shape[:-1]
-        parts = np.ascontiguousarray(amps).view(np.float64).reshape(batch + (-1, 1, _DOT_BLOCK))
-        return np.matmul(parts, parts.swapaxes(-1, -2)).reshape(batch + (-1,)).sum(-1)
+        parts = np.ascontiguousarray(amps).view(np.float64).reshape(-1, 1, _DOT_BLOCK)
+        with np.errstate(all="ignore"):
+            return np.matmul(parts, parts.swapaxes(-1, -2)).reshape(-1).sum()
+    if amps.size == 1:
+        # on one amplitude that overflows np.vdot may give nan where vecdot
+        # gives inf, so this one takes vecdot
+        with np.errstate(all="ignore"):
+            return _vdot(amps, amps).real
+    # np.vdot is no ufunc, so it overflows silently without np.errstate
+    # (about 1 us against 4 us on a 2-core x86-64 VM), and its sums are
+    # vecdot's
+    return np.vdot(amps, amps).real
 
 
-def _in_range(state: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _in_range(state: PureState) -> tuple[np.ndarray, np.float64, int]:
     """(amps * 2**shift, its squared norm, shift), the norm safe to multiply.
 
-    shift is 0 wherever the plain sum of squares lies in _NORM_SQ_RANGE;
+    shift is 0 when the plain sum of squares lies in _NORM_SQ_RANGE;
     elsewhere it puts the largest real or imaginary part in [1/2, 1) (a
     modulus itself may overflow). The squared norm is 0.0 only when every
-    amplitude is zero. For a batch, norm and shift hold one value per element.
+    amplitude is zero.
     """
     amps, norm_sq = state.amps, state._norm_sq
     # an overflowed sum may be nan, which is far too
-    near = (_NORM_SQ_RANGE[0] <= norm_sq) & (norm_sq <= _NORM_SQ_RANGE[1])
-    if _all(near):
-        return amps, norm_sq, _NO_SHIFT
-    peak = np.maximum(np.abs(amps.real).max(-1), np.abs(amps.imag).max(-1))
+    if _NORM_SQ_RANGE[0] <= norm_sq <= _NORM_SQ_RANGE[1]:
+        return amps, norm_sq, 0
+    peak = max(np.abs(amps.real).max(), np.abs(amps.imag).max())
     # frexp(0.0) is (0.0, 0): an all-zero state keeps shift 0 and sum 0.0
-    shift = np.where(near, 0, -np.frexp(peak)[1])
-    scaled = _ldexp(amps, shift[..., None])
+    shift = -math.frexp(peak)[1]
+    scaled = _ldexp(amps, shift)
     return scaled, _sum_sq(scaled), shift
-
-
-_NO_SHIFT = np.int64(0)
 
 
 def _ldexp(amps: np.ndarray, shift) -> np.ndarray:
@@ -738,7 +654,7 @@ def _overlap(s1: PureState, s2: PureState, zero_message: str) -> tuple:
     """|<s1|s2>|^2, <s1|s1> and <s2|s2> after rescaling each state on its own."""
     a1, n1, _ = _in_range(s1)
     a2, n2, _ = _in_range(s2)
-    if not (_all(n1 != 0.0) and _all(n2 != 0.0)):
+    if n1 == 0.0 or n2 == 0.0:
         raise ZeroStateError(zero_message)
     _check_pair(s1, s2)
     ip = _vdot(a1, a2)
@@ -747,31 +663,31 @@ def _overlap(s1: PureState, s2: PureState, zero_message: str) -> tuple:
     return np.float_power(np.hypot(ip.real, ip.imag), 2), n1, n2
 
 
-def equal_up_to_phase(s1: PureState, s2: PureState, tol: float = DEFAULT_TOL) -> bool | np.ndarray:
-    """True iff s1 = c*s2 for some nonzero complex scalar c; per element for a batch.
+def equal_up_to_phase(s1: PureState, s2: PureState, tol: float = DEFAULT_TOL) -> bool:
+    """True iff s1 = c*s2 for some nonzero complex scalar c.
 
     Tested via the Cauchy-Schwarz equality |<s1,s2>|^2 = <s1,s1><s2,s2>,
     relative to tol.
     """
     ip, n1, n2 = _overlap(s1, s2, "cannot compare a zero state up to phase")
-    return _per_state(np.abs(ip - n1 * n2) <= tol * n1 * n2)
+    return bool(np.abs(ip - n1 * n2) <= tol * n1 * n2)
 
 
-def fidelity(s1: PureState, s2: PureState) -> float | np.ndarray:
-    """|<s1|s2>|^2 on normalized copies, clamped into [0, 1]; per element for a batch."""
+def fidelity(s1: PureState, s2: PureState) -> float:
+    """|<s1|s2>|^2 on normalized copies, clamped into [0, 1]."""
     ip, n1, n2 = _overlap(s1, s2, "fidelity of a zero state is undefined")
-    return _per_state(np.minimum(np.maximum(ip / (n1 * n2), 0.0), 1.0))
+    return float(np.minimum(np.maximum(ip / (n1 * n2), 0.0), 1.0))
 
 
-def norm_drift(before: PureState, after: PureState) -> float | np.ndarray:
-    """|<after|after> - <before|before>| / <before|before>, at any scale; per element for a batch."""
+def norm_drift(before: PureState, after: PureState) -> float:
+    """|<after|after> - <before|before>| / <before|before>, at any scale."""
     _check_pair(before, after)
     _, n0, k0 = _in_range(before)
     _, n1, k1 = _in_range(after)
-    if not _all(n0 != 0.0):
+    if n0 == 0.0:
         raise ZeroStateError("norm drift from a zero state is undefined")
     # n0 and n1 were summed 4**k0 and 4**k1 times too large
-    return _per_state(abs(np.ldexp(n1, 2 * (k0 - k1)) - n0) / n0)
+    return float(abs(np.ldexp(n1, 2 * (k0 - k1)) - n0) / n0)
 
 
 @dataclass(frozen=True)
@@ -801,9 +717,6 @@ def schmidt_factor(
     on the side with fewer amplitudes (the right one on a square cut) has
     norm 1; the other carries the state's norm.
 
-    For a batch the rank holds one value per element, from one batched SVD,
-    and the factors are batches, returned only when every rank is 1.
-
     The SVD reads the tall side's row blocks (``_row_blocks``) cut to one
     block by TSQR, and the large factor is the tall matrix times the small
     one, in row blocks. Those are the same blocks, in the same order,
@@ -832,11 +745,10 @@ def schmidt_factor(
     if set(cut.left) | set(cut.right) != set(state.wires):
         raise WireError("cut does not cover exactly the state's wires")
     scaled, norm_sq, shift = _in_range(state)
-    if not _all(norm_sq != 0.0):
+    if norm_sq == 0.0:
         raise ZeroStateError("cannot factor a zero state")
     left_wires = tuple(w for w in state.wires if w in cut.left)
     right_wires = tuple(w for w in state.wires if w in cut.right)
-    batch = state.amps.shape[:-1]
     # The SVD runs on the tall orientation of the cut matrix, cut to one
     # block of rows, which keeps the singular values and right singular
     # vectors. QR is backward-stable, so the rank test keeps its meaning (a
@@ -844,15 +756,14 @@ def schmidt_factor(
     flip = len(left_wires) < len(right_wires)
     view, shape, in_place = _row_blocks(state, scaled, right_wires if flip else left_wires)
     block, cols = shape[-2:]
-    stack = shape[len(batch) : -2]
+    stack = shape[:-2]
     parts = _bits(_split(scaled.size, len(stack)))
     # a half's pieces run over the stack axes after its own and keep the
     # rest, as many as about _ROWS amplitudes hold
-    keep = max(0, (_ROWS // (math.prod(batch) * block * cols)).bit_length() - 1)
+    keep = max(0, (_ROWS // (block * cols)).bit_length() - 1)
     keep = min(len(stack) - len(parts[0]), keep)
-    lead = (slice(None),) * len(batch)
-    keys = [[lead + part + bits for bits in _bits(len(stack) - len(part) - keep)] for part in parts]
-    piece = batch + (2,) * keep + (block, cols)
+    keys = [[part + bits for bits in _bits(len(stack) - len(part) - keep)] for part in parts]
+    piece = (2,) * keep + (block, cols)
     buffers = None if in_place else np.empty((len(parts),) + piece, dtype=complex)
 
     def rows(p: int, key: tuple) -> np.ndarray:
@@ -871,7 +782,7 @@ def schmidt_factor(
 
     # TSQR's first level; a matrix of one block goes to the SVD as it is
     if stack:
-        first = np.empty(batch + stack + (cols, cols), dtype=complex)
+        first = np.empty(stack + (cols, cols), dtype=complex)
 
         def factor(p: int) -> None:
             for key in keys[p]:
@@ -880,28 +791,28 @@ def schmidt_factor(
         _share(len(parts), factor)
     else:
         first = rows(0, keys[0][0])
-    _, sv, vh = np.linalg.svd(_reduce_rows(first, batch, block), full_matrices=False)
-    rank = (sv > tol * sv[..., :1]).sum(-1)
-    if not _all(rank == 1):
-        return _per_state(rank), None
-    small = vh[..., 0, :]
+    _, sv, vh = np.linalg.svd(_reduce_rows(first, block), full_matrices=False)
+    rank = int((sv > tol * sv[0]).sum())
+    if rank != 1:
+        return rank, None
+    small = vh[0]
     # the large factor by row blocks, each one BLAS call below _GEMV_BLOCK
     step = min(block, max(1, _GEMV_BLOCK // cols))
-    conj = small.conj().reshape(batch + (1,) * (keep + 1) + (cols, 1))
-    big = np.empty(batch + stack + (block // step, step, 1), dtype=complex)
+    conj = small.conj().reshape((1,) * (keep + 1) + (cols, 1))
+    big = np.empty(stack + (block // step, step, 1), dtype=complex)
 
     def large(p: int) -> None:
         for key in keys[p]:
             np.matmul(rows(p, key).reshape(piece[:-2] + (-1, step, cols)), conj, out=big[key])
 
     _share(len(parts), large)
-    big = big.reshape(batch + (-1,))
-    if not _all(shift == 0):
-        big = _ldexp(big, -shift[..., None])
+    big = big.reshape(-1)
+    if shift:
+        big = _ldexp(big, -shift)
     # the cut matrix is outer(big, small) with the tall side first, and
     # outer(small, big) when the left side is the short one
     left, right = (small, big) if flip else (big, small)
-    return _per_state(rank), (
+    return rank, (
         PureState._adopt(left_wires, left),
         PureState._adopt(right_wires, right),
     )
@@ -913,11 +824,10 @@ def _row_blocks(
     """The cut matrix with `tall`'s wires as rows, as a stack of row blocks: (view, shape, in place).
 
     `amps` is laid out as `state`'s, and `view` is its wire view with
-    `tall`'s wires first. The stack has `shape`, (batch..., 2, ..., 2,
-    block, cols): one axis per wire of `tall` above the last log2(block),
-    in state order, then a block's rows and the columns, over the other
-    wires in state order. A block has max(2 * cols, _GEMV_BLOCK // cols)
-    rows, or every row when there are fewer: the whole matrix of a state of
+    `tall`'s wires first. The stack has `shape`, (2, ..., 2, block, cols):
+    one axis per wire of `tall` above the last log2(block), in state order,
+    then a block's rows and the columns, over the other wires in state
+    order. A block has max(2 * cols, _GEMV_BLOCK // cols) rows, or every row when there are fewer: the whole matrix of a state of
     at most 11 wires. The stack is in place where a block's row wires lie
     next to one another in the layout, and so do the column wires: then
     numpy's reshape of any part of `view` that keeps whole blocks is a view
@@ -927,8 +837,7 @@ def _row_blocks(
     rows, cols = 1 << len(tall), 1 << (state.n_wires - len(tall))
     block = min(rows, max(2 * cols, _GEMV_BLOCK // cols))
     view = _wire_view(state, tall, amps, "cut")
-    batch_rank = amps.ndim - 1
-    lead, cut = batch_rank + len(tall) - (block.bit_length() - 1), batch_rank + len(tall)
+    lead, cut = len(tall) - (block.bit_length() - 1), len(tall)
     # numpy merges the axes of a block's rows, and those of its columns,
     # without a copy when each stride is twice the next
     strides = view.strides
@@ -936,10 +845,10 @@ def _row_blocks(
     return view, view.shape[:lead] + (block, cols), in_place
 
 
-def _reduce_rows(first: np.ndarray, batch: tuple[int, ...], block: int) -> np.ndarray:
+def _reduce_rows(first: np.ndarray, block: int) -> np.ndarray:
     """TSQR's later levels: the first level's R factors cut to one block of at most `block` rows.
 
-    `first` is (batch..., stack..., cols, cols), from ``schmidt_factor``,
+    `first` is (stack..., cols, cols), from ``schmidt_factor``,
     which describes the first level. Stacked, the R factors have the
     singular values and right singular vectors of the whole matrix; each
     level regroups them into blocks of `block` rows, below _GEMV_BLOCK, and
@@ -947,10 +856,9 @@ def _reduce_rows(first: np.ndarray, batch: tuple[int, ...], block: int) -> np.nd
     A matrix of one block, passed as `first`, is returned as it is.
     """
     cols = first.shape[-1]
-    rows = first.reshape(batch + (-1, cols))
-    while rows.shape[-2] > block:
-        blocks = rows.reshape(batch + (-1, block, cols))
-        rows = np.linalg.qr(blocks, mode="r").reshape(batch + (-1, cols))
+    rows = first.reshape(-1, cols)
+    while len(rows) > block:
+        rows = np.linalg.qr(rows.reshape(-1, block, cols), mode="r").reshape(-1, cols)
     return rows
 
 
@@ -989,8 +897,6 @@ def branch_decompose(
     order). Branches with weight <= tol are omitted; the emitted weights sum
     to 1 up to that same omission.
     """
-    if state.amps.ndim != 1:
-        raise StateError("branch_decompose takes a single state, not a batch")
     pointer = tuple(pointer)
     if not pointer:
         raise WireError("pointer wire list is empty")
@@ -1013,12 +919,7 @@ def branch_decompose(
 
 
 def dump_state(state: PureState) -> str:
-    """Line format: a wire header, then one `<bits> <re> <im>` line per nonzero amplitude.
-
-    A batch is refused with StateError: it has no one line per basis state.
-    """
-    if state.amps.ndim != 1:
-        raise StateError("dump_state takes a single state, not a batch")
+    """Line format: a wire header, then one `<bits> <re> <im>` line per nonzero amplitude."""
     lines = ["wires: " + " ".join(state.wires)]
     n = state.n_wires
     for idx, amp in enumerate(state.amps):

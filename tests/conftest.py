@@ -44,7 +44,7 @@ def embed(matrix: np.ndarray, positions: list[int], n: int) -> np.ndarray:
 
 
 def permute_wires(s: state.PureState, order) -> state.PureState:
-    """The reference transpose: `s` with its wires listed in `order`, each element's for a batch.
+    """The reference transpose: `s` with its wires listed in `order`.
 
     One numpy transpose of the amplitudes as one axis per wire, found by
     wire name, independent of the kernels' views.
@@ -52,10 +52,8 @@ def permute_wires(s: state.PureState, order) -> state.PureState:
     order = tuple(order)
     if sorted(order) != sorted(s.wires):
         raise state.WireError(f"{order} is not a permutation of {s.wires}")
-    batch = s.amps.shape[:-1]
-    axes = tuple(range(len(batch))) + tuple(len(batch) + s.wires.index(w) for w in order)
-    amps = s.amps.reshape(batch + (2,) * s.n_wires).transpose(axes)
-    return state.PureState(order, amps.reshape(batch + (-1,)))
+    amps = s.amps.reshape((2,) * s.n_wires).transpose([s.wires.index(w) for w in order])
+    return state.PureState(order, amps)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -4,11 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines, or
 `everettsim verify` for the same checks from the CLI.
 """
 
-import tracemalloc
-
 import pytest
 
 from everettsim import verify
+from everettsim.circuit import GATES
+from everettsim.gates import UnitaryGate, u_b_decoder
 from everettsim.protocols import DecodeTable
 
 
@@ -35,14 +35,23 @@ def test_check_5_pins_the_whole_decode_table(monkeypatch):
         verify._check_superdense_end_to_end()
 
 
-def test_check_6_holds_its_batch_in_little_memory():
-    # 1000 states of 32 amplitudes take 0.5 MiB; a pass that kept every
-    # step's batch, or one per-input copy of each, would exceed the bound
-    verify._check_teleport_random()  # parse the template and build the gates first
-    tracemalloc.start()
-    try:
+def _swap_two_corrections(m):
+    # pointer 01 gets the correction of 10, and 10 that of 01
+    m[2:4, 2:4], m[4:6, 4:6] = m[4:6, 4:6].copy(), m[2:4, 2:4].copy()
+
+
+def _flip_one_branch(m):
+    # Bob's qubit on pointer 11 comes out as (alpha, -beta)
+    m[7] *= -1
+
+
+@pytest.mark.parametrize("mutate", [_swap_two_corrections, _flip_one_branch])
+def test_check_6_catches_a_broken_decoder(monkeypatch, mutate):
+    # each basis input still teleports with rank 1, but the pointer sides of
+    # F(1, 0) and F(0, 1) differ: only the linearity half can see it
+    matrix = u_b_decoder().matrix.copy()
+    mutate(matrix)
+    broken = UnitaryGate(3, matrix, name="u_b")
+    monkeypatch.setitem(GATES, "u_b", GATES["u_b"]._replace(build=lambda: broken))
+    with pytest.raises(AssertionError, match="^linearity: F\\(1, 0\\) and F\\(0, 1\\) carry different"):
         verify._check_teleport_random()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"

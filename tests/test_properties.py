@@ -214,25 +214,21 @@ def factor_amps(rng, shape, scale):
     return amps
 
 
-@pytest.mark.parametrize("left_batch,right_batch", [(False, False), (True, False), (False, True)])
 @FACTORS
 @given(data=st.data())
-def test_tensor_matches_kron_bit_for_bit(left_batch, right_batch, data):
+def test_tensor_matches_kron_bit_for_bit(data):
     # 2-5 factors, the first up to 2**12 amplitudes wide: later steps then
     # run by columns from _COLUMN_ROWS rows on, over row chunks of
-    # _ROW_CHUNK, the first of which reads a copy; a left batch is the first
-    # factor, a right batch one of the others
+    # _ROW_CHUNK, the first of which reads a copy
     count = data.draw(st.integers(2, 5))
     widths = [data.draw(st.sampled_from((0, 2, 9, 12)))]
     widths += [data.draw(st.integers(0, 3)) for _ in range(count - 1)]
-    batch = 0 if left_batch else data.draw(st.integers(1, count - 1)) if right_batch else None
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     states = []
     for i, n in enumerate(widths):
-        shape = (int(rng.integers(1, 4)),) * (i == batch) + (1 << n,)
         scale = data.draw(st.sampled_from((1.0, 1e-150, 1e150)))
         wires = tuple(f"f{i}w{j}" for j in range(n))
-        states.append(PureState(wires, factor_amps(rng, shape, scale)))
+        states.append(PureState(wires, factor_amps(rng, 1 << n, scale)))
     with np.errstate(all="ignore"):
         want = functools.reduce(np.kron, [s.amps for s in states])
     try:
@@ -240,10 +236,8 @@ def test_tensor_matches_kron_bit_for_bit(left_batch, right_batch, data):
     except StateError:
         # refused only past the float range: an overflow, or a product that
         # rounds to the zero vector although no factor is zero
-        lost = ~want.any(-1)
-        for s in states:
-            lost &= s.amps.any(-1)
-        assert not np.isfinite(want).all() or lost.any()
+        lost = not want.any() and all(s.amps.any() for s in states)
+        assert not np.isfinite(want).all() or lost
         return
     assert got.shape == want.shape
     assert np.array_equal(bits(got), bits(want))
@@ -256,16 +250,12 @@ def test_tensor_of_many_small_factors_matches_chained_kron():
     rng = np.random.default_rng(11)
     for _ in range(300):
         widths = rng.integers(0, 4, size=int(rng.integers(2, 6)))
-        batch = int(rng.integers(-1, len(widths)))
         states = [
-            PureState(
-                tuple(f"f{i}w{j}" for j in range(n)),
-                factor_amps(rng, (3,) * (i == batch) + (1 << n,), 1.0),
-            )
+            PureState(tuple(f"f{i}w{j}" for j in range(n)), factor_amps(rng, 1 << n, 1.0))
             for i, n in enumerate(widths)
         ]
         want = functools.reduce(np.kron, [s.amps for s in states])
-        assert np.array_equal(bits(tensor(*states).amps), bits(want)), (widths, batch)
+        assert np.array_equal(bits(tensor(*states).amps), bits(want)), widths
 
 
 @pytest.mark.parametrize("left_shape,right_shape", [
@@ -273,8 +263,6 @@ def test_tensor_of_many_small_factors_matches_chained_kron():
     ((1 << 15,), (4,)),
     ((1 << 15,), (8,)),  # a broadcast: b spans two cache lines
     ((2,), (1 << 15,)),
-    ((3, 1 << 10), (4,)),  # the rows of a batch count together
-    ((4,), (600, 2)),
 ])
 def test_tensor_of_a_long_and_a_short_factor_matches_kron(left_shape, right_shape):
     rng = np.random.default_rng(len(left_shape) + right_shape[-1])
@@ -283,7 +271,7 @@ def test_tensor_of_a_long_and_a_short_factor_matches_kron(left_shape, right_shap
         for name, shape in (("a", left_shape), ("b", right_shape))
     )
     got = tensor(left, right).amps
-    want = np.kron(left.amps[..., None, :], right.amps[..., None, :])[..., 0, :]
+    want = np.kron(left.amps, right.amps)
     assert np.array_equal(bits(got), bits(want))
 
 
@@ -299,21 +287,16 @@ def reference_apply(gate, targets, s):
     targets = tuple(targets)
     k = len(targets)
     n = s.n_wires
-    batch = s.amps.shape[:-1]
     src = state._wire_view(s, targets, s.amps, "target")
     out = np.empty(s.amps.shape, dtype=complex)
     dst = state._wire_view(s, targets, out, "target")
     columns = state._GEMM_BLOCK // gate.matrix.size
     inner = min(n - k, max(0, columns.bit_length() - 1))
-    run = max(1, columns >> (n - k))
-    runs = [(slice(i, i + run),) for i in range(0, batch[0], run)] if batch else [()]
     every_target = (slice(None),) * k
-    for elements in runs:
-        for idx in itertools.product((0, 1), repeat=n - k - inner):
-            key = elements + every_target + idx
-            block = dst[key]
-            shape = block.shape[: len(batch)] + (1 << k, -1)
-            block[...] = (gate.matrix @ src[key].reshape(shape)).reshape(block.shape)
+    for idx in itertools.product((0, 1), repeat=n - k - inner):
+        key = every_target + idx
+        block = dst[key]
+        block[...] = (gate.matrix @ src[key].reshape(1 << k, -1)).reshape(block.shape)
     return out
 
 
@@ -327,24 +310,23 @@ def reference_schmidt_factor(s, cut, tol=state.DEFAULT_TOL):
     scaled, norm_sq, shift = state._in_range(s)
     left_wires = tuple(w for w in s.wires if w in cut.left)
     right_wires = tuple(w for w in s.wires if w in cut.right)
-    batch = s.amps.shape[:-1]
     arr = state._wire_view(s, left_wires, scaled, "cut")
-    mat = arr.reshape(batch + (1 << len(left_wires), 1 << len(right_wires)))
-    tall = mat if mat.shape[-2] >= mat.shape[-1] else mat.swapaxes(-1, -2)
-    assert tall.shape[-2] <= max(2 * tall.shape[-1], state._GEMV_BLOCK // tall.shape[-1])
+    mat = arr.reshape(1 << len(left_wires), 1 << len(right_wires))
+    tall = mat if mat.shape[0] >= mat.shape[1] else mat.T
+    assert tall.shape[0] <= max(2 * tall.shape[1], state._GEMV_BLOCK // tall.shape[1])
     _, sv, vh = np.linalg.svd(tall, full_matrices=False)
-    rank = (sv > tol * sv[..., :1]).sum(-1)
-    if not state._all(rank == 1):
-        return state._per_state(rank), None
-    small = vh[..., 0, :]
-    rows, cols = tall.shape[-2:]
+    rank = int((sv > tol * sv[0]).sum())
+    if rank != 1:
+        return rank, None
+    small = vh[0]
+    rows, cols = tall.shape
     step = min(rows, max(1, state._GEMV_BLOCK // cols))
-    blocks = np.reshape(tall, batch + (-1, step, cols))
-    big = np.matmul(blocks, small.conj()[..., None, :, None]).reshape(batch + (rows,))
-    if not state._all(shift == 0):
-        big = state._ldexp(big, -shift[..., None])
+    blocks = np.reshape(tall, (-1, step, cols))
+    big = np.matmul(blocks, small.conj()[:, None]).reshape(rows)
+    if shift:
+        big = state._ldexp(big, -shift)
     left, right = (big, small) if tall is mat else (small, big)
-    return state._per_state(rank), (left, right)
+    return rank, (left, right)
 
 
 def kernel_amps(rng, shape):
@@ -399,15 +381,14 @@ def assert_apply_matches_reference(gate, targets, s):
 @given(
     name=st.sampled_from(sorted(GATES) + ["dense", "phased"]),
     n=st.integers(1, 12),
-    size=st.sampled_from((0, 1, 3)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_apply_matches_the_block_product(name, n, size, seed):
+def test_apply_matches_the_block_product(name, n, seed):
     rng = np.random.default_rng(seed)
     gate = kernel_gate(name, rng)
     assume(gate.arity <= n)
     wires = tuple(f"w{i}" for i in range(n))
-    s = PureState(wires, kernel_amps(rng, (size,) * (size > 0) + (1 << n,)))
+    s = PureState(wires, kernel_amps(rng, 1 << n))
     assert_apply_matches_reference(gate, tuple(rng.permutation(wires)[: gate.arity]), s)
 
 
@@ -424,34 +405,27 @@ def test_apply_matches_the_block_product_at_20_wires(wide_state, name):
     assert_apply_matches_reference(gate, targets[: gate.arity], wide_state)
 
 
-@pytest.mark.parametrize("size,arity,targets", [
+@pytest.mark.parametrize("arity,targets", [
     # cu_meas at 20 wires, with no wire or 1-3 column wires after the last
     # target
-    (0, 4, (16, 17, 18, 19)),
-    (0, 4, (3, 12, 18, 7)),
-    (0, 4, (19, 2, 16, 11)),
-    (0, 4, (2, 17, 9, 15)),
-    (0, 4, (6, 10, 13, 18)),
+    (4, (16, 17, 18, 19)),
+    (4, (3, 12, 18, 7)),
+    (4, (19, 2, 16, 11)),
+    (4, (2, 17, 9, 15)),
+    (4, (6, 10, 13, 18)),
     # random dense unitaries at 20 wires
-    (0, 2, (18, 19)),
-    (0, 2, (19, 4)),
-    (0, 3, (17, 18, 19)),
-    (0, 3, (0, 19, 18)),
-    (0, 3, (9, 18, 2)),
-    # cu_meas on batches, chunked by runs of elements with a short last run
-    (1000, 4, (3, 0, 4, 1)),
-    (700, 4, (6, 2, 5, 0)),
+    (2, (18, 19)),
+    (2, (19, 4)),
+    (3, (17, 18, 19)),
+    (3, (0, 19, 18)),
+    (3, (9, 18, 2)),
 ])
-def test_block_product_chunks_keep_every_bit(wide_state, size, arity, targets):
+def test_block_product_chunks_keep_every_bit(wide_state, arity, targets):
     rng = np.random.default_rng(sum(targets))
     gate = cu_meas() if arity == 4 else UnitaryGate(arity, random_unitary(rng, 1 << arity))
-    s = wide_state
-    if size:
-        n = max(targets) + 1
-        s = PureState(tuple(f"w{i}" for i in range(n)), kernel_amps(rng, (size, 1 << n)))
-    wires = tuple(s.wires[i] for i in targets)
-    got = apply(gate, wires, s).amps
-    assert got.tobytes() == reference_apply(gate, wires, s).tobytes()
+    wires = tuple(wide_state.wires[i] for i in targets)
+    got = apply(gate, wires, wide_state).amps
+    assert got.tobytes() == reference_apply(gate, wires, wide_state).tobytes()
 
 
 @pytest.mark.parametrize("name,targets,source", [
@@ -466,7 +440,6 @@ def test_block_product_chunks_keep_every_bit(wide_state, size, arity, targets):
     ("cu_sigma", (5, 18, 7), "state"),
     # every other amplitude of the state, a strided view
     ("u_b", (3, 12, 18), "residual"),
-    ("u_b", (3, 0, 4), "batch"),
 ])
 def test_signed_permutations_keep_every_bit_at_20_wires(wide_state, name, targets, source):
     gate = GATES[name].build()
@@ -474,9 +447,6 @@ def test_signed_permutations_keep_every_bit_at_20_wires(wide_state, name, target
     if source == "residual":
         s = branch_decompose(s, ("w19",)).branches[0].residual
         assert not s.amps.flags.c_contiguous
-    elif source == "batch":
-        wires = tuple(f"w{i}" for i in range(5))
-        s = PureState(wires, kernel_amps(np.random.default_rng(5), (1000, 1 << 5)))
     wires = tuple(s.wires[i] for i in targets)
     assert apply(gate, wires, s).amps.tobytes() == reference_apply(gate, wires, s).tobytes()
 
@@ -514,20 +484,17 @@ def product_on_cut(rng, n, right, rank):
 
 
 @KERNELS
-@given(n=st.integers(2, 11), rank=st.sampled_from((1, 1, 2)), size=st.sampled_from((0, 3)),
+@given(n=st.integers(2, 11), rank=st.sampled_from((1, 1, 2)),
        scale=st.sampled_from((1.0, 1e-200, 1e200)), seed=st.integers(0, 2**32 - 1))
-def test_schmidt_factor_of_one_row_block_moves_only_a_flipped_large_factor(
-    n, rank, size, scale, seed
-):
+def test_schmidt_factor_of_one_row_block_moves_only_a_flipped_large_factor(n, rank, scale, seed):
     rng = np.random.default_rng(seed)
     wires = tuple(f"w{i}" for i in range(n))
     right = frozenset(rng.permutation(wires)[: int(rng.integers(1, n))])
-    elements = [product_on_cut(rng, n, right, rank)[0].amps for _ in range(max(size, 1))]
-    s = PureState(wires, np.array(elements if size else elements[0]) * scale)
+    s = PureState(wires, product_on_cut(rng, n, right, rank)[0].amps * scale)
     cut = Bipartition(frozenset(wires) - right, right)
     got_rank, got = schmidt_factor(s, cut)
     want_rank, want = reference_schmidt_factor(s, cut)
-    assert np.array_equal(got_rank, want_rank)
+    assert got_rank == want_rank
     assert (got is None) == (want is None)
     if got is None:
         return

@@ -27,7 +27,6 @@ from everettsim.protocols import (
     pointer_bell_sum,
     run_superdense,
     run_teleport,
-    run_teleport_batch,
     transfer,
 )
 from everettsim.state import (
@@ -287,6 +286,30 @@ def test_teleport_accepts_unnormalized_input():
     result = run_teleport(3.0, 4.0j)
     assert result.fidelity >= 1 - 1e-10
     assert equal_up_to_phase(result.bob_qubit, qubit("b", 3.0, 4.0j))
+    # far from unit scale too
+    for scale in (1e-300, 1e300):
+        result = run_teleport(0.28j * scale, (-0.71 + 0.46j) * scale)
+        assert result.schmidt_rank_b_cut == 1 and result.fidelity >= 1 - 1e-10
+        assert equal_up_to_phase(result.pointer_side, pointer_bell_sum(), 1e-10)
+
+
+def test_teleport_runner_matches_the_interpreter_bit_for_bit():
+    # the runner and exec_circuit make the same numpy calls on one state; the
+    # inputs span 1e-5 to 1e5 in magnitude, with negative and purely
+    # imaginary parts
+    rng = np.random.default_rng(26)
+    for i in range(60):
+        re_im = rng.standard_normal(4) * 10.0 ** rng.uniform(-5, 5, size=4)
+        alpha, beta = complex(re_im[0], re_im[1]), complex(re_im[2], re_im[3])
+        if i % 3 == 0:
+            alpha = complex(0.0, -abs(re_im[1]))
+        if i % 5 == 0:
+            beta = complex(-abs(re_im[2]), 0.0)
+        program = circuit.parse_circuit(circuit.teleport_source(alpha, beta))
+        world, outcomes = circuit.exec_circuit(program)
+        assert all(o.passed for o in outcomes)
+        runner = run_teleport(alpha, beta).world.state
+        assert np.array_equal(runner.amps, world.state.amps), (alpha, beta)
 
 
 def test_teleport_rejects_the_zero_qubit():
@@ -348,61 +371,29 @@ def test_teleport_preserves_the_global_norm():
     assert result.world.state.norm_sq == pytest.approx(2.0, abs=1e-12)
 
 
-def test_teleport_batch_agrees_with_single_runs_at_every_scale(rng):
-    scales = np.resize([1e-300, 1.0, 1e300], 12)
-    inputs = (rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))) * scales[:, None]
-    batch = run_teleport_batch(inputs[:, 0], inputs[:, 1])
-    assert batch.schmidt_rank_b_cut == 1
-    assert batch.bob_qubit.amps.shape == (12, 2) and batch.world.state.amps.shape == (12, 32)
-    for i, (alpha, beta) in enumerate(inputs):
-        single = run_teleport(alpha, beta)
-        assert single.schmidt_rank_b_cut == 1
-        assert abs(batch.fidelity[i] - single.fidelity) <= 1e-15
-        assert equal_up_to_phase(batch.bob_qubit.element(i), single.bob_qubit)
-        assert equal_up_to_phase(batch.pointer_side.element(i), single.pointer_side)
-        assert batch.world.trace == single.world.trace
+def _swap_the_inputs(real):
+    return lambda alpha, beta: real(beta, alpha)
 
 
-def test_teleport_batch_rejects_a_zero_qubit_by_index():
-    with pytest.raises(ValueError, match="^batch element 1: input qubit must be nonzero$"):
-        run_teleport_batch([1, 0, 0.6], [0, 0, 0.8j])
+def _rank_2(real):
+    return lambda state, cut, tol: (2, None)
 
 
-def _swap_inputs_of_element_2(real):
-    def oracle(alphas, betas):
-        alphas, betas = alphas.copy(), betas.copy()
-        alphas[2], betas[2] = betas[2], alphas[2]
-        return real(alphas, betas)
-
-    return oracle
-
-
-def _rank_2_at_element_2(real):
-    def factor(state, cut, tol):
-        rank, _ = real(state, cut, tol)
-        rank = rank.copy()
-        rank[2] = 2
-        return rank, None
-
-    return factor
-
-
-@pytest.mark.parametrize("element2,patch,message", [
-    # halving the smallest subnormal rounds, so only element 2 loses norm
+@pytest.mark.parametrize("inputs,patch,message", [
+    # the subnormal amplitudes of this input round away in cu_meas's sums
     ((5e-324, 5e-324j), None, "gate cu_meas did not preserve the norm: the amplitudes lie below"),
-    ((0.28 - 0.45j, 0.71 + 0.46j), ("_measured_superposition", _swap_inputs_of_element_2),
-     "post-measurement state diverged from the four-branch form"),
-    ((0.28 - 0.45j, 0.71 + 0.46j), ("schmidt_factor", _rank_2_at_element_2),
+    ((0.28 - 0.45j, 0.71 + 0.46j), ("_measured_superposition", _swap_the_inputs),
+     "post-measurement state diverged from the four-branch form$"),
+    ((0.28 - 0.45j, 0.71 + 0.46j), ("schmidt_factor", _rank_2),
      r"final state is not a product across the b cut \(rank 2\)$"),
 ])
-def test_teleport_batch_names_the_one_element_that_fails(monkeypatch, element2, patch, message):
-    alphas, betas = [0.6, 1.0, element2[0], 0.3j], [0.8j, 0.0, element2[1], 0.9]
+def test_teleport_names_the_self_check_that_fails(monkeypatch, inputs, patch, message):
     if patch is not None:
-        run_teleport_batch(alphas, betas)  # the real step passes every element
+        run_teleport(*inputs)  # the real step passes
         name, wrap = patch
         monkeypatch.setattr(protocols, name, wrap(getattr(protocols, name)))
-    with pytest.raises(ProtocolError, match=f"^batch element 2: {message}"):
-        run_teleport_batch(alphas, betas)
+    with pytest.raises(ProtocolError, match=f"^{message}"):
+        run_teleport(*inputs)
 
 
 # ---------------------------------------------------------------- locality

@@ -1,11 +1,10 @@
 """The kernels' sharing of pieces with one worker thread (``state._share``).
 
 ``state._split`` states the one rule: from ``state._PIECE`` (2**18)
-amplitudes, counted over a batch, ``apply``'s slice moves and block
-product, and ``schmidt_factor``'s first TSQR level and large factor, run as
-two halves on the calling thread and the one thread of
-``state._executor()``, when the process may use two cores; below, they run
-inline. These tests check that rule for each kernel, that every piece runs
+amplitudes, ``apply``'s slice moves and block product, and
+``schmidt_factor``'s first TSQR level and large factor, run as two halves
+on the calling thread and the one thread of ``state._executor()``, when the
+process may use two cores; below, they run inline. These tests check that rule for each kernel, that every piece runs
 exactly once, also with several callers, that a piece's exception reaches
 the caller and stops the other thread, that a busy worker costs no waiting
 and its cancelled task holds no array, that the worker keeps no process
@@ -308,18 +307,15 @@ def row_blocks(s, right):
     """The stack of row blocks of the cut of `right` from `s`: numpy's reshape of the wire view.
 
     The wire view, the tall side's wires first, is built here from numpy
-    alone. The stack is (batch..., 2, ..., 2, block, cols), a view of the
-    amplitudes where numpy can merge the axes of a block and a gather
-    elsewhere.
+    alone. The stack is (2, ..., 2, block, cols), a view of the amplitudes
+    where numpy can merge the axes of a block and a gather elsewhere.
     """
-    batch = s.amps.shape[:-1]
     tall = [i for i, w in enumerate(s.wires) if w not in right]
     short = [i for i, w in enumerate(s.wires) if w in right]
     rows, cols = 1 << len(tall), 1 << len(short)
     block = min(rows, max(2 * cols, state._GEMV_BLOCK // cols))
-    axes = tuple(range(len(batch))) + tuple(len(batch) + i for i in tall + short)
-    view = s.amps.reshape(batch + (2,) * s.n_wires).transpose(axes)
-    return view.reshape(batch + (2,) * (len(tall) - block.bit_length() + 1) + (block, cols))
+    view = s.amps.reshape((2,) * s.n_wires).transpose(tall + short)
+    return view.reshape((2,) * (len(tall) - block.bit_length() + 1) + (block, cols))
 
 
 def one_serial_pass(s, right):
@@ -329,22 +325,21 @@ def one_serial_pass(s, right):
     ``state._share``, so the pass stays independent of the code it checks.
     """
     _, _, shift = state._in_range(s)
-    assert np.all(shift == 0)
-    batch = s.amps.shape[:-1]
+    assert shift == 0
     blocks = row_blocks(s, right)
     block, cols = blocks.shape[-2:]
     reduced = blocks
-    while reduced.ndim > len(batch) + 2:
-        reduced = np.linalg.qr(reduced, mode="r").reshape(batch + (-1, cols))
-        if reduced.shape[-2] > block:
-            reduced = reduced.reshape(batch + (-1, block, cols))
+    while reduced.ndim > 2:
+        reduced = np.linalg.qr(reduced, mode="r").reshape(-1, cols)
+        if reduced.shape[0] > block:
+            reduced = reduced.reshape(-1, block, cols)
     _, sv, vh = np.linalg.svd(reduced, full_matrices=False)
-    small = vh[..., 0, :]
+    small = vh[0]
     step = min(block, max(1, state._GEMV_BLOCK // cols))
     steps = blocks.reshape(blocks.shape[:-2] + (-1, step, cols))
-    conj = small.conj().reshape(batch + (1,) * (steps.ndim - len(batch) - 2) + (cols, 1))
-    big = np.matmul(steps, conj).reshape(batch + (-1,))
-    return (sv > state.DEFAULT_TOL * sv[..., :1]).sum(-1), big, small
+    conj = small.conj().reshape((1,) * (steps.ndim - 2) + (cols, 1))
+    big = np.matmul(steps, conj).reshape(-1)
+    return (sv > state.DEFAULT_TOL * sv[0]).sum(), big, small
 
 
 def assert_one_serial_pass(s, right, view):
@@ -357,7 +352,7 @@ def assert_one_serial_pass(s, right, view):
     assert np.shares_memory(row_blocks(s, right), s.amps) == view
     rank, factors = schmidt_factor(s, Bipartition(frozenset(tall), frozenset(right)))
     serial_rank, big, small = one_serial_pass(s, right)
-    assert np.all(rank == serial_rank) and np.all(serial_rank == 1)
+    assert rank == serial_rank == 1
     assert factors[0].amps.tobytes() == big.tobytes()
     assert factors[1].amps.tobytes() == small.tobytes()
 
@@ -389,17 +384,6 @@ def test_schmidt_factor_of_a_one_half_cut_keeps_the_bits_of_one_serial_pass(n, p
     assert_one_serial_pass(s, (wire,), position == 0)
 
 
-@pytest.mark.parametrize("position", [3, 12, 15])
-def test_schmidt_factor_of_a_stacked_batch_keeps_the_bits_of_one_serial_pass(position):
-    # four 16-wire states, 2**18 amplitudes: the halves split each element's
-    # stack, a view at w3 and w15 and gathered at w12
-    wire = f"w{position}"
-    rng = np.random.default_rng(16 + position)
-    elements = [product_on_cut(rng, 16, (wire,), 1)[0] for _ in range(4)]
-    s = PureState(elements[0].wires, np.stack([e.amps for e in elements]))
-    assert_one_serial_pass(s, (wire,), position != 12)
-
-
 # a two-wire cut of 19 wires leaves R factors of twice a block's rows after
 # the first level, and of 20 wires four times; (w0, w7) of 8 wires is one
 # gathered block, with no QR before the SVD
@@ -410,19 +394,16 @@ def test_schmidt_factor_of_a_two_wire_cut_keeps_the_bits_of_one_serial_pass(n, r
 
 
 # Each half reads its row blocks in pieces of at most state._ROWS amplitudes,
-# counted over a batch: here at least four to a half. One-wire cuts of 18
-# and 20 wires as a view and as a gather, a batch of four 16-wire states as
-# a view and as a gather, and the two-wire cut of 20 wires, gathered. Where
-# a half of several pieces is gathered, both passes gather each piece anew
-# into the half's one buffer
-@pytest.mark.parametrize("n, right, size, view", [
-    (18, ("w3",), 1, True), (18, ("w12",), 1, False), (20, ("w5",), 1, True), (20, ("w14",), 1, False),
-    (16, ("w1",), 4, True), (16, ("w10",), 4, False), (20, ("w10", "w11"), 1, False),
+# here at least four to a half. One-wire cuts of 18 and 20 wires as a view
+# and as a gather, and the two-wire cut of 20 wires, gathered. Where a half
+# of several pieces is gathered, both passes gather each piece anew into
+# the half's one buffer
+@pytest.mark.parametrize("n, right, view", [
+    (18, ("w3",), True), (18, ("w12",), False), (20, ("w5",), True), (20, ("w14",), False),
+    (20, ("w10", "w11"), False),
 ])
-def test_schmidt_factor_in_pieces_keeps_the_bits_of_one_serial_pass(monkeypatch, n, right, size, view):
-    rng = np.random.default_rng(n + size + int(right[0][1:]))
-    elements = [product_on_cut(rng, n, right, 1)[0] for _ in range(size)]
-    s = PureState(elements[0].wires, np.stack([e.amps for e in elements]) if size > 1 else elements[0].amps)
+def test_schmidt_factor_in_pieces_keeps_the_bits_of_one_serial_pass(monkeypatch, n, right, view):
+    s, _, _ = product_on_cut(np.random.default_rng(n + int(right[0][1:])), n, right, 1)
     qr, sizes = np.linalg.qr, []
 
     def recorded(a, mode="reduced"):
@@ -438,21 +419,20 @@ def test_schmidt_factor_in_pieces_keeps_the_bits_of_one_serial_pass(monkeypatch,
 
 
 # rank and factor bytes of one-wire cuts of product states at a view and a
-# gather position: of 18 and 20 wires, and of a batch of four 16-wire states,
-# which reaches the 2**18 amplitudes of two halves only over the batch
+# gather position, of 18 and 20 wires
 CUT_HASH = (
     "import hashlib\n"
     "import numpy as np\n"
     "from everettsim.state import Bipartition, PureState, schmidt_factor\n"
     "def cut_hash():\n"
     "    digest = hashlib.sha256()\n"
-    "    for n, position, size in ((18, 0, 1), (18, 9, 1), (20, 19, 1), (20, 12, 1), (16, 3, 4), (16, 12, 4)):\n"
+    "    for n, position in ((18, 0), (18, 9), (20, 19), (20, 12)):\n"
     "        rng = np.random.default_rng(n + position)\n"
-    "        a, b = (rng.standard_normal((size, rows, 2)) @ (1, 1j) for rows in (1 << (n - 1), 2))\n"
+    "        a, b = (rng.standard_normal((rows, 2)) @ (1, 1j) for rows in (1 << (n - 1), 2))\n"
     "        # the outer product, the cut wire's axis moved to its position\n"
-    "        joint = (a[:, :, None] * b[:, None, :]).reshape(size, 1 << position, -1, 2)\n"
-    "        amps = joint.transpose(0, 1, 3, 2).reshape(size, -1)\n"
-    "        s = PureState(tuple(f'w{i}' for i in range(n)), amps if size > 1 else amps[0])\n"
+    "        joint = (a[:, None] * b[None, :]).reshape(1 << position, -1, 2)\n"
+    "        amps = joint.transpose(0, 2, 1).reshape(-1)\n"
+    "        s = PureState(tuple(f'w{i}' for i in range(n)), amps)\n"
     "        right = frozenset({f'w{position}'})\n"
     "        rank, factors = schmidt_factor(s, Bipartition(frozenset(s.wires) - right, right))\n"
     "        digest.update(np.asarray(rank).tobytes())\n"

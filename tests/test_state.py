@@ -36,6 +36,10 @@ def rand_state(rng, wires):
 def test_amps_length_must_match_wire_count():
     with pytest.raises(StateError):
         PureState(("a", "b"), np.ones(3, dtype=complex))
+    # amps of any shape is one vector, a 2-D array too
+    assert PureState(("a", "b"), np.eye(2)).amps.tolist() == [1, 0, 0, 1]
+    with pytest.raises(StateError, match="1 wires need 2 amplitudes, got 4"):
+        PureState(("a",), np.eye(2))
 
 
 def test_duplicate_and_invalid_labels_rejected():
@@ -128,11 +132,12 @@ def test_basis_state_refuses_a_state_wider_than_max_wires(small_wire_limit):
     assert traced_peak() < 2**20
 
 
-@pytest.mark.parametrize("batch", [False, True])
-def test_tensor_refuses_a_product_that_overflows(batch):
+@pytest.mark.parametrize("partial", [False, True])
+def test_tensor_refuses_a_product_that_overflows(partial):
     big = [qubit(w, 1e150, 1e150) for w in "abc"]
-    if batch:
-        big[1] = qubit("b", [1.0, 1e150], [1.0, 1e150])
+    if partial:
+        # only the products that take b's second amplitude overflow
+        big[1] = qubit("b", 1.0, 1e150)
     with pytest.raises(StateError, match="^tensor product overflows the float range$"):
         tensor(*big)
 
@@ -141,9 +146,6 @@ def test_tensor_refuses_nonzero_factors_whose_product_rounds_to_zero():
     tiny = qubit("a", 1e-200, 0), qubit("b", 0, 1e-200)
     with pytest.raises(StateError, match="^tensor product of nonzero factors rounds to the zero vector$"):
         tensor(*tiny)
-    # an element of a batch is checked on its own
-    with pytest.raises(StateError, match="rounds to the zero vector"):
-        tensor(tiny[0], qubit("b", [1.0, 1e-200], [0.0, 0.0]))
 
 
 def test_tensor_keeps_the_zero_state_of_a_zero_factor():
@@ -166,6 +168,8 @@ def test_tensor_is_associative_up_to_wire_order(rng):
     assert np.allclose(left.amps, right.amps, rtol=1e-15, atol=0)
     swapped = permute_wires(tensor(s2, tensor(s1, s3)), ("a", "b", "c"))
     assert np.allclose(swapped.amps, left.amps, rtol=1e-15, atol=0)
+    with pytest.raises(WireError, match="not a permutation"):
+        permute_wires(left, ("c", "a", "a"))
 
 
 # ------------------------------------------------------------------- apply
@@ -473,119 +477,6 @@ def test_cut_must_cover_the_wires():
         Bipartition(frozenset("a"), frozenset("a"))
 
 
-# ----------------------------------------------------------------- batches
-
-
-def rand_batch(rng, wires, size, scales=(1.0,)):
-    """A batch of random states, element i scaled by scales[i % len(scales)]."""
-    amps = random_amps(rng, (size, 1 << len(wires)))
-    return PureState(wires, amps * np.resize(scales, size)[:, None])
-
-
-def test_a_batch_is_one_state_per_row(rng):
-    batch = rand_batch(rng, ("a", "b"), 3)
-    assert batch.amps.shape == (3, 4) and batch.norm_sq.shape == (3,)
-    for i in range(3):
-        row = batch.element(i)
-        assert np.array_equal(row.amps, batch.amps[i])
-        assert row.norm_sq == batch.norm_sq[i]
-    with pytest.raises(StateError, match="only a batch"):
-        row.element(0)
-    with pytest.raises(StateError, match="at least one state"):
-        PureState(("a",), np.zeros((0, 2)))
-    with pytest.raises(StateError, match="non-finite"):
-        PureState(("a",), [[1, 0], [np.inf, 0]])
-
-
-def test_element_outside_the_batch_raises_state_error(rng):
-    batch = rand_batch(rng, ("a",), 3)
-    assert np.array_equal(batch.element(-3).amps, batch.amps[0])
-    for i in (3, 7, -4):
-        with pytest.raises(StateError, match=f"element {i} is outside a batch of 3"):
-            batch.element(i)
-
-
-@pytest.mark.parametrize("i", [1.5, "1", None, np.float64(1.0), 1j])
-def test_element_refuses_an_index_that_is_not_an_integer(rng, i):
-    batch = rand_batch(rng, ("a",), 3)
-    with pytest.raises(StateError, match="element index must be an integer"):
-        batch.element(i)
-
-
-def test_element_reads_a_bool_as_its_int(rng):
-    batch = rand_batch(rng, ("a",), 3)
-    for i in (True, False, np.True_, np.False_, np.int8(2)):
-        assert np.array_equal(batch.element(i).amps, batch.amps[int(i)])
-
-
-@pytest.mark.parametrize("kernel", [equal_up_to_phase, fidelity, inner_product, norm_drift])
-def test_a_batch_pairs_only_with_a_batch_of_its_size(rng, kernel):
-    wires = ("a", "b")
-    with pytest.raises(StateError, match="batch size mismatch: 3 vs 5"):
-        kernel(rand_batch(rng, wires, 3), rand_batch(rng, wires, 5))
-
-
-def test_tensor_pairs_each_row_of_one_batch_with_single_states(rng):
-    batch = rand_batch(rng, ("b",), 4)
-    left, right = rand_state(rng, ("a",)), rand_state(rng, ("c", "d"))
-    product = tensor(left, batch, right)
-    assert product.wires == ("a", "b", "c", "d") and product.amps.shape == (4, 16)
-    for i in range(4):
-        assert np.array_equal(product.amps[i], tensor(left, batch.element(i), right).amps)
-    with pytest.raises(StateError, match="at most one batch"):
-        tensor(batch, rand_batch(rng, ("c",), 4))
-
-
-@pytest.mark.parametrize("n,size,targets", [
-    (6, 300, ("w4", "w0", "w2")),  # one block holding the whole batch
-    (14, 3, ("w9", "w3", "w13", "w0")),  # per element, blocks over the middle wires
-])
-def test_batched_kernels_agree_with_each_element(rng, n, size, targets):
-    wires = tuple(f"w{i}" for i in range(n))
-    batch = rand_batch(rng, wires, size, scales=(1e-300, 1.0, 1e300))
-    other = rand_batch(rng, wires, size)
-    gate = UnitaryGate(len(targets), random_unitary(rng, 1 << len(targets)))
-    out = apply(gate, targets, batch)
-    assert out.amps.shape == batch.amps.shape and not out.amps.flags.writeable
-    drift = norm_drift(batch, out)
-    same = equal_up_to_phase(out, PureState(wires, 1j * out.amps))
-    differ = equal_up_to_phase(batch, other)
-    fid = fidelity(batch, other)
-    cut = Bipartition(frozenset(wires[:2]), frozenset(wires[2:]))
-    rank, factors = schmidt_factor(batch, cut)
-    assert factors is None
-    for i in range(size):
-        one = batch.element(i)
-        # the plain sum, nan where it overflows, as for the element alone
-        np.testing.assert_equal(batch.norm_sq[i], one.norm_sq)
-        single = apply(gate, targets, one)
-        scale = np.abs(single.amps).max()
-        assert np.allclose(out.amps[i], single.amps, rtol=0, atol=1e-12 * scale)
-        assert drift[i] == pytest.approx(norm_drift(one, single), abs=1e-15)
-        assert same[i] and not differ[i]
-        assert fid[i] == pytest.approx(fidelity(one, other.element(i)), rel=1e-12)
-        assert rank[i] == schmidt_factor(one, cut)[0] == 4
-
-
-def test_batched_schmidt_factors_rebuild_every_element(rng):
-    wires = ("a", "b", "c")
-    left = rand_batch(rng, wires[:2], 6, scales=(1e-300, 1.0, 1e300))
-    right = rand_state(rng, wires[2:])
-    joint = tensor(left, right)
-    rank, (got_left, got_right) = schmidt_factor(joint, Bipartition(wires[:2], wires[2:]))
-    assert list(rank) == [1] * 6
-    assert got_left.amps.shape == (6, 4) and got_right.amps.shape == (6, 2)
-    for i in range(6):
-        rebuilt = tensor(got_left.element(i), got_right.element(i))
-        atol = 1e-12 * np.abs(joint.amps[i]).max()
-        assert np.allclose(rebuilt.amps, joint.amps[i], rtol=1e-12, atol=atol)
-    # one entangled element keeps the factors back and shows in the rank
-    amps = joint.amps.copy()
-    amps[4] = tensor(rand_state(rng, ("a",)), bell(0, 0, ("b", "c"))).amps
-    rank, factors = schmidt_factor(PureState(wires, amps), Bipartition(wires[:2], wires[2:]))
-    assert list(rank) == [1, 1, 1, 1, 2, 1] and factors is None
-
-
 # -------------------------------------------------------- branch decompose
 
 
@@ -650,31 +541,6 @@ def test_branch_decompose_rejects_bad_pointers(rng):
         branch_decompose(s, ("a", "a"))
     with pytest.raises(WireError):
         branch_decompose(s, ("z",))
-
-
-def test_permute_wires_reorders_each_element_of_a_batch(rng):
-    wires = ("a", "b", "c", "d")
-    batch = rand_batch(rng, wires, 5, scales=(1e-300, 1.0, 1e300))
-    order = ("c", "a", "d", "b")
-    got = permute_wires(batch, order)
-    assert got.wires == order and got.amps.shape == batch.amps.shape
-    for i in range(5):
-        want = permute_wires(batch.element(i), order).amps
-        assert np.array_equal(got.amps[i].view(np.uint64), want.view(np.uint64))
-    with pytest.raises(WireError, match="not a permutation"):
-        permute_wires(batch, ("c", "a", "d", "d"))
-
-
-def test_dump_state_refuses_a_batch(rng):
-    with pytest.raises(StateError, match="takes a single state, not a batch"):
-        dump_state(rand_batch(rng, ("a",), 2))
-
-
-@pytest.mark.parametrize("amp0,amp1", [([1, 0.6], [0, 0.8]), ([0.6], [0.8])])
-def test_branch_decompose_refuses_a_batch(amp0, amp1):
-    # a batch of one is a batch too
-    with pytest.raises(StateError, match="takes a single state, not a batch"):
-        branch_decompose(qubit("a", amp0, amp1), ("a",))
 
 
 # -------------------------------------------------------------------- dump
