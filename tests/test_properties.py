@@ -405,7 +405,7 @@ def test_apply_matches_the_block_product_at_20_wires(wide_state, name):
     assert_apply_matches_reference(gate, targets[: gate.arity], wide_state)
 
 
-@pytest.mark.parametrize("arity,targets", [
+BLOCK_CASES = [
     # cu_meas at 20 wires, with no wire or 1-3 column wires after the last
     # target
     (4, (16, 17, 18, 19)),
@@ -419,7 +419,13 @@ def test_apply_matches_the_block_product_at_20_wires(wide_state, name):
     (3, (17, 18, 19)),
     (3, (0, 19, 18)),
     (3, (9, 18, 2)),
-])
+]
+
+
+# the ids keep the form 0-<arity>-targets<i> these cases have long been run
+# under, whose leading 0 stood for a single state
+@pytest.mark.parametrize("arity,targets", BLOCK_CASES,
+                         ids=[f"0-{arity}-targets{i}" for i, (arity, _) in enumerate(BLOCK_CASES)])
 def test_block_product_chunks_keep_every_bit(wide_state, arity, targets):
     rng = np.random.default_rng(sum(targets))
     gate = cu_meas() if arity == 4 else UnitaryGate(arity, random_unitary(rng, 1 << arity))

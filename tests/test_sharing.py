@@ -398,9 +398,14 @@ def test_schmidt_factor_of_a_two_wire_cut_keeps_the_bits_of_one_serial_pass(n, r
 # and as a gather, and the two-wire cut of 20 wires, gathered. Where a half
 # of several pieces is gathered, both passes gather each piece anew into
 # the half's one buffer
+# the ids keep the names these cases have long been run under, whose 1 stood
+# for a single state
 @pytest.mark.parametrize("n, right, view", [
-    (18, ("w3",), True), (18, ("w12",), False), (20, ("w5",), True), (20, ("w14",), False),
-    (20, ("w10", "w11"), False),
+    pytest.param(18, ("w3",), True, id="18-right0-1-True"),
+    pytest.param(18, ("w12",), False, id="18-right1-1-False"),
+    pytest.param(20, ("w5",), True, id="20-right2-1-True"),
+    pytest.param(20, ("w14",), False, id="20-right3-1-False"),
+    pytest.param(20, ("w10", "w11"), False, id="20-right6-1-False"),
 ])
 def test_schmidt_factor_in_pieces_keeps_the_bits_of_one_serial_pass(monkeypatch, n, right, view):
     s, _, _ = product_on_cut(np.random.default_rng(n + int(right[0][1:])), n, right, 1)
