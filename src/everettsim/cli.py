@@ -33,7 +33,7 @@ import sys
 from .state import DEFAULT_TOL, StateError
 from . import reports, verify
 from .circuit import ASSERT_TOL, CircuitError, CircuitParseError, exec_circuit, parse_circuit
-from .protocols import ProtocolError, derive_decode_table, run_superdense, run_teleport
+from .protocols import ProtocolError, decode_table, run_superdense, run_teleport
 from .render import render_ascii
 
 
@@ -171,8 +171,11 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.verb == "superdense":
         tol = _tolerance(DEFAULT_TOL)
+        # the requested input runs first, so its error is the one reported;
+        # the other three follow in table order
         result = run_superdense(args.p, args.q, tol=tol)
-        table = derive_decode_table(tol=tol)
+        others = [(p, q) for p in (0, 1) for q in (0, 1) if (p, q) != result.input]
+        table = decode_table([result, *(run_superdense(p, q, tol=tol) for p, q in others)])
         for line in reports.superdense_lines(result, table, args.json, args.trace):
             print(line)
         return 0

@@ -395,23 +395,24 @@ def run_superdense(p: int, q: int, tol: float = DEFAULT_TOL) -> SuperdenseResult
     return SuperdenseResult(input=(p, q), decomposition=decomp, world=world)
 
 
-def derive_decode_table(tol: float = DEFAULT_TOL) -> DecodeTable:
-    """Run all four inputs and tabulate the pointer labels Bob observes.
+def decode_table(results: Iterable[SuperdenseResult]) -> DecodeTable:
+    """Tabulate the pointer label Bob observes in each run, in input order.
 
     The table must be a bijection on two-bit strings (anything else is a bug
     in the evolution); whether it is the identity map is reported rather than
     assumed.
     """
-    entries = []
-    for p in (0, 1):
-        for q in (0, 1):
-            result = run_superdense(p, q, tol=tol)
-            entries.append(((p, q), result.pointer))
-    outputs = {out for _, out in entries}
-    if len(outputs) != 4:
+    entries = sorted((result.input, result.pointer) for result in results)
+    # four distinct inputs, each with its own label
+    if len(dict(entries)) != len(entries) or len({out for _, out in entries}) != 4:
         raise ProtocolError(f"decode table is not a bijection: {entries}")
     is_identity = all(inp == out for inp, out in entries)
     return DecodeTable(tuple(entries), is_identity)
+
+
+def derive_decode_table(tol: float = DEFAULT_TOL) -> DecodeTable:
+    """Run all four inputs and tabulate the pointer labels, as `decode_table`."""
+    return decode_table(run_superdense(p, q, tol=tol) for p in (0, 1) for q in (0, 1))
 
 
 # Bob's residual on pointer branch (x, y) is row 2x+y applied to (alpha, beta):

@@ -3,10 +3,18 @@
 Each check pins its tolerance here; the pytest acceptance module runs the
 same functions. Checks return a result instead of raising, so one failure
 never hides the others.
+
+One `run_all` makes each shared run once: checks 4, 5, 7 and 8 read one set
+of four superdense runs, checks 6 and 8 one `run_teleport(1, 0)`, checks 7,
+8 and 9 one read and parse of each committed fixture, and checks 7 and 8
+one exec of it. A shared run that raised raises again in every check that
+reads it, so each of those checks fails. Check 9 tests determinism and
+makes its own runs. Outside `run_all` a check makes all of its runs afresh.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +33,7 @@ from .protocols import (
     LocalityError,
     TransferEvent,
     audit_locality,
+    decode_table,
     derive_decode_table,
     pointer_bell_sum,
     run_superdense,
@@ -91,6 +100,41 @@ class CheckResult:
     detail: str
 
 
+# key -> the shared run's result, or the exception it raised; set by run_all
+_RUNS: ContextVar[dict] = ContextVar("verify_runs")
+
+
+def _once(key, make):
+    # outside run_all the memo is a new dict, dropped when this call returns
+    runs = _RUNS.get({})
+    if key not in runs:
+        try:
+            runs[key] = make()
+        except Exception as err:  # noqa: BLE001 - raised again below, to each reader
+            runs[key] = err
+    if isinstance(runs[key], Exception):
+        raise runs[key]
+    return runs[key]
+
+
+def _superdense(p: int, q: int):
+    # check 4 pins 1e-12, the default the other checks ran at
+    return _once(("superdense", p, q), lambda: run_superdense(p, q, tol=1e-12))
+
+
+def _teleport(alpha: complex, beta: complex):
+    return _once(("teleport", alpha, beta), lambda: run_teleport(alpha, beta))
+
+
+def _fixture(name: str) -> tuple:
+    """A committed fixture's text and its parsed program."""
+    return _once(("fixture", name), lambda: (text := fixtures.read(name), parse_circuit(text)))
+
+
+def _fixture_run(name: str):
+    return _once(("fixture run", name), lambda: exec_circuit(_fixture(name)[1]))
+
+
 def _check_sigma_identities() -> str:
     # the hand-written matrices obey the 8 action rules, and an exact match
     # pins every entry, so each rule holds exactly
@@ -132,14 +176,14 @@ def _check_superdense_intermediate() -> str:
         for q in (0, 1):
             # raises ProtocolError unless the state after cu_sigma matches
             # superdense_encoded(p, q) up to phase
-            run_superdense(p, q, tol=1e-12)
+            _superdense(p, q)
     return "post-encoding state matches the two-component form for all 4 inputs"
 
 
 def _check_superdense_end_to_end() -> str:
     for p in (0, 1):
         for q in (0, 1):
-            result = run_superdense(p, q)
+            result = _superdense(p, q)
             # run_superdense raises unless the pointer holds a single branch
             branch = result.decomposition.branches[0]
             if abs(branch.weight - 1.0) > 1e-12:
@@ -150,7 +194,7 @@ def _check_superdense_end_to_end() -> str:
             transfers = [e for e in result.world.trace if isinstance(e, TransferEvent)]
             if len(transfers) != 1 or transfers[0].wire != "a":
                 raise AssertionError(f"({p},{q}): expected exactly one transfer of wire a")
-    table = derive_decode_table()
+    table = decode_table(_superdense(p, q) for p in (0, 1) for q in (0, 1))
     if table.mapping != EXPECTED_DECODE_TABLE:
         raise AssertionError(f"pointer labels differ from the hand-derived table: {table.entries}")
     shown = " ".join(f"{i[0]}{i[1]}->{o[0]}{o[1]}" for i, o in table.entries)
@@ -164,12 +208,10 @@ def _check_teleport_random() -> str:
     # The evolution is linear in the input: final(alpha, beta) = alpha F(1, 0)
     # + beta F(0, 1). Final states P (x) |0> and P (x) |1> on b, with one P,
     # therefore teleport every input exactly.
-    columns = []
-    for bit in (0, 1):
-        # b is the last wire: rows over the pointer side, one column per value of b
-        amps = run_teleport(1 - bit, bit).world.state.amps.reshape(-1, 2)
-        columns.append((amps[:, bit], amps[:, 1 - bit]))
-    (p0, zero0), (p1, zero1) = columns
+    # b is the last wire: transposed, one row per value of b over the pointer side
+    (p0, zero0), (zero1, p1) = (
+        _teleport(*inputs).world.state.amps.reshape(-1, 2).T for inputs in ((1, 0), (0, 1))
+    )
     exact = not zero0.any() and not zero1.any() and np.array_equal(p0, p1)
     if not exact:
         # relative to the state's norm, for a kernel that rounds differently
@@ -213,11 +255,10 @@ def _check_locality() -> str:
     audited = 0
     for p in (0, 1):
         for q in (0, 1):
-            audited += audit_locality(run_superdense(p, q).world.trace)
+            audited += audit_locality(_superdense(p, q).world.trace)
     audited += audit_locality(run_teleport(0.6, 0.8j).world.trace)
     for name in (fixtures.SUPERDENSE, fixtures.TELEPORT):
-        world, _ = exec_circuit(parse_circuit(fixtures.read(name)))
-        audited += audit_locality(world.trace)
+        audited += audit_locality(_fixture_run(name)[0].trace)
     return f"premature measurement rejected; {audited} gate events audited clean"
 
 
@@ -228,23 +269,22 @@ def _check_dsl_round_trip() -> str:
         for q in (0, 1):
             source = superdense_source(p, q, table[(p, q)])
             world, outcomes = exec_circuit(parse_circuit(source))
-            reference = run_superdense(p, q)
+            reference = _superdense(p, q)
             if not all(o.passed for o in outcomes):
                 raise AssertionError(f"({p},{q}): fixture assertion failed")
             if world.state.wires != reference.final_state.wires or not np.array_equal(
                 world.state.amps, reference.final_state.amps
             ):
                 raise AssertionError(f"({p},{q}): amplitudes not bit-identical")
-    committed = fixtures.read(fixtures.SUPERDENSE)
-    if committed != superdense_source(0, 1, table[(0, 1)]):
+    if _fixture(fixtures.SUPERDENSE)[0] != superdense_source(0, 1, table[(0, 1)]):
         raise AssertionError("committed superdense fixture differs from its template")
-    world, outcomes = exec_circuit(parse_circuit(fixtures.read(fixtures.TELEPORT)))
-    reference = run_teleport(1.0, 0.0)
+    world, outcomes = _fixture_run(fixtures.TELEPORT)
+    reference = _teleport(1, 0)
     if not all(o.passed for o in outcomes):
         raise AssertionError("teleport fixture assertion failed")
     if not np.array_equal(world.state.amps, reference.world.state.amps):
         raise AssertionError("teleport amplitudes not bit-identical")
-    if fixtures.read(fixtures.TELEPORT) != teleport_source(1.0, 0.0):
+    if _fixture(fixtures.TELEPORT)[0] != teleport_source(1.0, 0.0):
         raise AssertionError("committed teleport fixture differs from its template")
     positioned = 0
     for source in MALFORMED_SOURCES:
@@ -263,13 +303,12 @@ def _check_dsl_round_trip() -> str:
 
 
 def _check_determinism() -> str:
-    renders = []
     for name in (fixtures.SUPERDENSE, fixtures.TELEPORT):
-        prog = parse_circuit(fixtures.read(name))
+        prog = _fixture(name)[1]
         first, second = render_ascii(prog), render_ascii(prog)
         if first != second:
             raise AssertionError(f"render of {name} not reproducible")
-        renders.append(first)
+    # the runs below are its own: determinism needs two independent runs
     table0 = derive_decode_table()
     json0 = superdense_lines(run_superdense(0, 1), table0, json_mode=True, trace=True)
     json1 = superdense_lines(run_superdense(0, 1), derive_decode_table(), json_mode=True, trace=True)
@@ -295,12 +334,17 @@ _CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
 )
 
 
+def _result(index: int, name: str, check: Callable[[], str]) -> CheckResult:
+    try:
+        return CheckResult(index, name, True, check())
+    except Exception as err:  # noqa: BLE001 - report, never crash the suite
+        return CheckResult(index, name, False, f"{type(err).__name__}: {err}")
+
+
 def run_all() -> list[CheckResult]:
-    results = []
-    for index, (name, check) in enumerate(_CHECKS, start=1):
-        try:
-            detail = check()
-            results.append(CheckResult(index, name, True, detail))
-        except Exception as err:  # noqa: BLE001 - report, never crash the suite
-            results.append(CheckResult(index, name, False, f"{type(err).__name__}: {err}"))
-    return results
+    token = _RUNS.set({})
+    try:
+        return [_result(index, *named) for index, named in enumerate(_CHECKS, start=1)]
+    finally:
+        # the shared runs die with this call: no later check reads them
+        _RUNS.reset(token)

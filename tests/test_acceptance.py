@@ -4,12 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines, or
 `everettsim verify` for the same checks from the CLI.
 """
 
+from collections import Counter
+
 import pytest
 
-from everettsim import verify
+from everettsim import circuit, fixtures, protocols, verify
 from everettsim.circuit import GATES
 from everettsim.gates import UnitaryGate, u_b_decoder
-from everettsim.protocols import DecodeTable
+from everettsim.protocols import DecodeTable, ProtocolError
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +32,7 @@ def test_every_criterion_is_covered(results):
 
 def test_check_5_pins_the_whole_decode_table(monkeypatch):
     identity = DecodeTable(tuple(((p, q), (p, q)) for p in (0, 1) for q in (0, 1)), True)
-    monkeypatch.setattr(verify, "derive_decode_table", lambda: identity)
+    monkeypatch.setattr(verify, "decode_table", lambda _: identity)
     with pytest.raises(AssertionError, match="hand-derived table"):
         verify._check_superdense_end_to_end()
 
@@ -55,3 +57,58 @@ def test_check_6_catches_a_broken_decoder(monkeypatch, mutate):
     monkeypatch.setitem(GATES, "u_b", GATES["u_b"]._replace(build=lambda: broken))
     with pytest.raises(AssertionError, match="^linearity: F\\(1, 0\\) and F\\(0, 1\\) carry different"):
         verify._check_teleport_random()
+
+
+def _fail_at_11(monkeypatch):
+    """Make verify's run_superdense raise for input (1, 1); return its call counter."""
+    real, calls = verify.run_superdense, Counter()
+
+    def broken(p, q, **kwargs):
+        calls[p, q] += 1
+        if (p, q) == (1, 1):
+            raise ProtocolError("injected failure at (1,1)")
+        return real(p, q, **kwargs)
+
+    monkeypatch.setattr(verify, "run_superdense", broken)
+    return calls
+
+
+def test_a_failed_shared_run_fails_every_check_that_reads_it(monkeypatch):
+    calls = _fail_at_11(monkeypatch)
+    results = {r.index: r for r in verify.run_all()}
+    failed = {i for i, r in results.items() if not r.passed}
+    assert failed == {4, 5, 7, 8}
+    for i in failed:
+        assert results[i].detail == "ProtocolError: injected failure at (1,1)"
+    # one run, its error raised again to each of the four checks
+    assert calls[1, 1] == 1
+
+
+def test_no_shared_run_outlives_run_all(monkeypatch):
+    assert all(r.passed for r in verify.run_all())
+    _fail_at_11(monkeypatch)
+    with pytest.raises(ProtocolError, match="injected failure"):
+        verify._check_superdense_end_to_end()
+
+
+def test_each_shared_run_is_made_once_per_run_all(monkeypatch):
+    calls = Counter()
+    for module, name in (
+        (protocols, "run_superdense"),
+        (protocols, "run_teleport"),
+        (circuit, "exec_circuit"),
+        (fixtures, "read"),
+    ):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # every module that bound the original by name calls the counter
+        for holder in (circuit, fixtures, protocols, verify):
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, counted)
+    assert all(r.passed for r in verify.run_all())
+    # check 9 makes 10 superdense runs and 2 teleports of its own
+    assert calls == {"run_superdense": 14, "run_teleport": 13, "exec_circuit": 7, "read": 2}

@@ -21,6 +21,7 @@ from everettsim.protocols import (
     TransferEvent,
     apply_local,
     audit_locality,
+    decode_table,
     derive_decode_table,
     empty_world,
     init_wires,
@@ -257,6 +258,14 @@ def test_decode_table_is_the_expected_bijection():
     assert table.mapping == EXPECTED_TABLE
     assert not table.is_identity
     assert len(set(table.mapping.values())) == 4
+
+
+def test_decode_table_reads_runs_in_any_order():
+    runs = [run_superdense(p, q) for p in (0, 1) for q in (0, 1)]
+    assert decode_table(reversed(runs)) == derive_decode_table()
+    # one input twice among five runs: four distinct labels, yet no bijection
+    with pytest.raises(ProtocolError, match="not a bijection"):
+        decode_table(runs + runs[:1])
 
 
 # ------------------------------------------------------------ teleportation
