@@ -4,12 +4,14 @@ Each check pins its tolerance here; the pytest acceptance module runs the
 same functions. Checks return a result instead of raising, so one failure
 never hides the others.
 
-One `run_all` makes each shared run once: checks 4, 5, 7 and 8 read one set
-of four superdense runs, checks 6 and 8 one `run_teleport(1, 0)`, checks 7,
-8 and 9 one read and parse of each committed fixture, and checks 7 and 8
-one exec of it. A shared run that raised raises again in every check that
-reads it, so each of those checks fails. Check 9 tests determinism and
-makes its own runs. Outside `run_all` a check makes all of its runs afresh.
+One `run_all` makes each shared run once: checks 4, 5, 7, 8 and 9 read one
+set of four superdense runs, checks 6 and 8 one `run_teleport(1, 0)`, checks
+7 and 9 one `run_teleport(0.6, 0.8j)`, checks 7, 8 and 9 one read and parse
+of each committed fixture, and checks 7 and 8 one exec of it. A shared run
+that raised raises again in every check that reads it, so each of those
+checks fails. Check 9 tests determinism: it compares the shared runs with
+fresh ones of its own, two independent runs of everything it compares.
+Outside `run_all` a check makes all of its runs afresh.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .protocols import (
     TransferEvent,
     audit_locality,
     decode_table,
-    derive_decode_table,
     pointer_bell_sum,
     run_superdense,
     run_teleport,
@@ -256,7 +257,7 @@ def _check_locality() -> str:
     for p in (0, 1):
         for q in (0, 1):
             audited += audit_locality(_superdense(p, q).world.trace)
-    audited += audit_locality(run_teleport(0.6, 0.8j).world.trace)
+    audited += audit_locality(_teleport(0.6, 0.8j).world.trace)
     for name in (fixtures.SUPERDENSE, fixtures.TELEPORT):
         audited += audit_locality(_fixture_run(name)[0].trace)
     return f"premature measurement rejected; {audited} gate events audited clean"
@@ -302,22 +303,26 @@ def _check_dsl_round_trip() -> str:
     )
 
 
+def _reports(superdense: Callable, teleport: Callable) -> tuple[list[str], list[str]]:
+    """Traced JSON of superdense (0, 1), with its decode table, and of teleport (0.6, 0.8i)."""
+    runs = {(p, q): superdense(p, q) for p in (0, 1) for q in (0, 1)}
+    return (
+        superdense_lines(runs[0, 1], decode_table(runs.values()), json_mode=True, trace=True),
+        teleport_lines(teleport(0.6, 0.8j), json_mode=True, trace=True),
+    )
+
+
 def _check_determinism() -> str:
     for name in (fixtures.SUPERDENSE, fixtures.TELEPORT):
         prog = _fixture(name)[1]
         first, second = render_ascii(prog), render_ascii(prog)
         if first != second:
             raise AssertionError(f"render of {name} not reproducible")
-    # the runs below are its own: determinism needs two independent runs
-    table0 = derive_decode_table()
-    json0 = superdense_lines(run_superdense(0, 1), table0, json_mode=True, trace=True)
-    json1 = superdense_lines(run_superdense(0, 1), derive_decode_table(), json_mode=True, trace=True)
-    if json0 != json1:
-        raise AssertionError("superdense JSON output not reproducible")
-    tele0 = teleport_lines(run_teleport(0.6, 0.8j), json_mode=True, trace=True)
-    tele1 = teleport_lines(run_teleport(0.6, 0.8j), json_mode=True, trace=True)
-    if tele0 != tele1:
-        raise AssertionError("teleport JSON output not reproducible")
+    # fresh runs of its own, then the shared ones: two independent runs
+    fresh = _reports(lambda p, q: run_superdense(p, q, tol=1e-12), run_teleport)
+    for kind, a, b in zip(("superdense", "teleport"), fresh, _reports(_superdense, _teleport)):
+        if a != b:
+            raise AssertionError(f"{kind} JSON output not reproducible")
     return "renders and JSON reports byte-identical across repeated runs"
 
 

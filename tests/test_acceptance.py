@@ -4,7 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines, or
 `everettsim verify` for the same checks from the CLI.
 """
 
+import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -77,11 +79,12 @@ def test_a_failed_shared_run_fails_every_check_that_reads_it(monkeypatch):
     calls = _fail_at_11(monkeypatch)
     results = {r.index: r for r in verify.run_all()}
     failed = {i for i, r in results.items() if not r.passed}
-    assert failed == {4, 5, 7, 8}
+    assert failed == {4, 5, 7, 8, 9}
     for i in failed:
         assert results[i].detail == "ProtocolError: injected failure at (1,1)"
-    # one run, its error raised again to each of the four checks
-    assert calls[1, 1] == 1
+    # the shared run, its error raised again to each check that reads it, and
+    # check 9's fresh run
+    assert calls[1, 1] == 2
 
 
 def test_no_shared_run_outlives_run_all(monkeypatch):
@@ -110,5 +113,61 @@ def test_each_shared_run_is_made_once_per_run_all(monkeypatch):
             if getattr(holder, name, None) is original:
                 monkeypatch.setattr(holder, name, counted)
     assert all(r.passed for r in verify.run_all())
-    # check 9 makes 10 superdense runs and 2 teleports of its own
-    assert calls == {"run_superdense": 14, "run_teleport": 13, "exec_circuit": 7, "read": 2}
+    # check 9 makes 4 superdense runs and 1 teleport of its own
+    assert calls == {"run_superdense": 8, "run_teleport": 12, "exec_circuit": 7, "read": 2}
+
+
+def _nudge_the_input(run, alpha, beta, **kwargs):
+    # one ulp up in each part; a zero part becomes the least subnormal, which
+    # the JSON report echoes as given
+    def up(z):
+        return complex(math.nextafter(z.real, math.inf), math.nextafter(z.imag, math.inf))
+
+    return run(up(alpha), up(beta), **kwargs)
+
+
+def _drop_the_last_event(run, *args, **kwargs):
+    result = run(*args, **kwargs)
+    return replace(result, world=replace(result.world, trace=result.world.trace[:-1]))
+
+
+def _same(run, *args, **kwargs):
+    return run(*args, **kwargs)
+
+
+def _repeats(monkeypatch, name, drift):
+    """Patch verify's `name` so that a repeated run of one input goes through
+    `drift`; return the count of runs per input."""
+    real, calls = getattr(verify, name), Counter()
+
+    def run(*args, **kwargs):
+        calls[args] += 1
+        return (drift if calls[args] > 1 else _same)(real, *args, **kwargs)
+
+    monkeypatch.setattr(verify, name, run)
+    return calls
+
+
+@pytest.mark.parametrize("name, drift, report", [
+    ("run_teleport", _nudge_the_input, "teleport"),
+    ("run_superdense", _drop_the_last_event, "superdense"),
+])
+def test_check_9_catches_a_run_that_differs_when_repeated(monkeypatch, name, drift, report):
+    calls = _repeats(monkeypatch, name, drift)
+    # checks 1-8 run each input once, or read the shared first run
+    results = verify.run_all()
+    assert [r.index for r in results if not r.passed] == [9]
+    assert results[8].detail == f"AssertionError: {report} JSON output not reproducible"
+    # alone, check 9 makes both sides afresh: the second drifts
+    calls.clear()
+    with pytest.raises(AssertionError, match=f"^{report} JSON output not reproducible$"):
+        verify._check_determinism()
+
+
+def test_check_9_alone_makes_one_run_of_each_input_per_side(monkeypatch):
+    superdense = _repeats(monkeypatch, "run_superdense", _same)
+    teleport = _repeats(monkeypatch, "run_teleport", _same)
+    assert verify._check_determinism().startswith("renders and JSON reports byte-identical")
+    # 4 superdense runs and 1 teleport on each side
+    assert superdense == {(p, q): 2 for p in (0, 1) for q in (0, 1)}
+    assert teleport == {(0.6, 0.8j): 2}
