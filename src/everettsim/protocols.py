@@ -340,8 +340,6 @@ def _superdense_state(p: int, q: int, pair: PureState) -> PureState:
     return tensor(basis_state(("c", "d"), (p, q)), pair, basis_state(("E1", "E2"), (0, 0)))
 
 
-# at most four entries: basis_state refuses any p or q but 0 and 1
-@cache
 def superdense_encoded(p: int, q: int) -> PureState:
     """The whole state after Alice encodes (p, q), wires (c, d, a, b, E1, E2).
 
@@ -439,7 +437,6 @@ def _measured_superposition(alpha, beta) -> PureState:
     return PureState._adopt(tuple(TELEPORT_WIRES), amps.reshape(-1))
 
 
-@cache
 def pointer_bell_sum() -> PureState:
     """Each pointer label on (E1, E2) with its Bell state on (u, a), summed over all four."""
     return PureState(tuple(TELEPORT_WIRES)[:-1], _BELL_ROWS.reshape(-1))

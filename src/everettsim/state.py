@@ -138,7 +138,12 @@ class PureState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        wires = _wire_labels(tuple(map(str, self.wires)))
+        wires = tuple(str(w) for w in self.wires)
+        for w in wires:
+            if not w or any(ch.isspace() for ch in w):
+                raise WireError(f"bad wire label {w!r}")
+        if len(set(wires)) != len(wires):
+            raise WireError(f"duplicate wire labels in {wires}")
         amps = np.array(self.amps, dtype=complex).reshape(-1)
         if amps.size != 1 << len(wires):
             raise StateError(
@@ -187,19 +192,6 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState(wires={self.wires}, dim={self.amps.size})"
-
-
-# bounded, as _axis_plan is; keyed on labels already made str, so (1,) and
-# (True,), which compare equal, are never one key
-@lru_cache(maxsize=4096)
-def _wire_labels(wires: tuple[str, ...]) -> tuple[str, ...]:
-    """The labels as given, after checking each is nonblank and all are distinct."""
-    for w in wires:
-        if not w or any(ch.isspace() for ch in w):
-            raise WireError(f"bad wire label {w!r}")
-    if len(set(wires)) != len(wires):
-        raise WireError(f"duplicate wire labels in {wires}")
-    return wires
 
 
 def _bit(value: object) -> int | None:

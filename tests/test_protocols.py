@@ -28,7 +28,6 @@ from everettsim.protocols import (
     pointer_bell_sum,
     run_superdense,
     run_teleport,
-    superdense_encoded,
     transfer,
 )
 from everettsim.state import (
@@ -240,19 +239,6 @@ def test_superdense_self_check_fires_on_a_tampered_encoder(monkeypatch):
     monkeypatch.setitem(GATES, "cu_sigma", GATES["cu_sigma"]._replace(build=lambda: tampered))
     with pytest.raises(ProtocolError, match=r"post-encoding state diverged for \(p,q\)=\(0,1\)"):
         run_superdense(0, 1)
-
-
-@pytest.mark.parametrize("build, args", [
-    *((superdense_encoded, (p, q)) for p in (0, 1) for q in (0, 1)),
-    (pointer_bell_sum, ()),
-])
-def test_reference_states_are_built_once_and_read_only(build, args):
-    state = build(*args)
-    assert build(*args) is state
-    with pytest.raises(ValueError):
-        state.amps[0] = 0
-    fresh = build.__wrapped__(*args)
-    assert fresh.wires == state.wires and np.array_equal(fresh.amps, state.amps)
 
 
 def test_runners_parse_no_template_per_run(monkeypatch):
