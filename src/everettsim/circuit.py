@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple, Union
 
 from . import protocols
 from .gates import UnitaryGate, bell, cu_meas, cu_sigma, sigma, u_b_decoder
-from .state import MAX_WIRES, Bipartition, StateError, equal_up_to_phase, qubit, schmidt_factor
+from .state import MAX_WIRES, StateError, equal_up_to_phase, qubit, wire_factor
 
 ASSERT_TOL = 1e-10
 
@@ -532,10 +532,8 @@ def run_step(
         )
         outcomes.append(AssertionOutcome(stmt.line, "pointer", passed, detail))
     elif isinstance(stmt, AssertFactor):
-        rest = frozenset(w for w in world.state.wires if w != stmt.wire)
-        cut = Bipartition(rest, frozenset({stmt.wire}))
-        rank, factors = schmidt_factor(world.state, cut, tol)
-        if rank != 1 or factors is None:
+        rank, factor = wire_factor(world.state, stmt.wire, tol)
+        if factor is None:
             passed = False
             detail = f"not a product across {stmt.wire!r} (rank {rank})"
         elif stmt.expr.amp0 == 0 and stmt.expr.amp1 == 0:
@@ -544,7 +542,7 @@ def run_step(
             detail = f"factor on {stmt.wire!r} cannot be compared with the zero ket {stmt.expr.text}"
         else:
             target = qubit(stmt.wire, stmt.expr.amp0, stmt.expr.amp1)
-            passed = equal_up_to_phase(factors[1], target, tol)
+            passed = equal_up_to_phase(factor, target, tol)
             detail = f"factor on {stmt.wire!r} ~ {stmt.expr.text}" if passed else (
                 f"factor on {stmt.wire!r} differs from {stmt.expr.text}"
             )

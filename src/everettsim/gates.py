@@ -53,6 +53,10 @@ class UnitaryGate:
     and per column, a phased permutation of basis states such as every
     ``sigma``, ``cu_sigma`` and ``u_b``: one ``(row, column, entry)`` per
     nonzero, in row order. It is None for any other matrix.
+
+    ``real`` is the matrix's real part, a contiguous read-only array, when
+    no entry has a nonzero imaginary part, such as ``cu_meas``; it is None
+    for any other matrix.
     """
 
     arity: int
@@ -61,6 +65,7 @@ class UnitaryGate:
     monomial: tuple[tuple[int, int, complex], ...] | None = field(
         init=False, repr=False, default=None
     )
+    real: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         if not isinstance(self.arity, (int, np.integer)) or self.arity < 0:
@@ -76,6 +81,10 @@ class UnitaryGate:
             raise GateError(f"matrix is not unitary (defect {defect:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        if not mat.imag.any():
+            real = mat.real.copy()
+            real.setflags(write=False)
+            object.__setattr__(self, "real", real)
         # every row and column of a unitary holds a nonzero entry, so dim
         # nonzero entries are one per row and one per column
         rows, cols = np.nonzero(mat)

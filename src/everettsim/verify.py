@@ -10,8 +10,8 @@ set of four superdense runs, checks 6 and 8 one `run_teleport(1, 0)`, checks
 of each committed fixture, and checks 7 and 8 one exec of it. A shared run
 that raised raises again in every check that reads it, so each of those
 checks fails. Check 9 tests determinism: it compares the shared runs with
-fresh ones of its own, two independent runs of everything it compares.
-Outside `run_all` a check makes all of its runs afresh.
+fresh ones of its own, two independent runs of everything it compares:
+their JSON reports, and their final states byte for byte. Outside `run_all` a check makes all of its runs afresh.
 """
 
 from __future__ import annotations
@@ -303,12 +303,22 @@ def _check_dsl_round_trip() -> str:
     )
 
 
-def _reports(superdense: Callable, teleport: Callable) -> tuple[list[str], list[str]]:
-    """Traced JSON of superdense (0, 1), with its decode table, and of teleport (0.6, 0.8i)."""
+def _reports(superdense: Callable, teleport: Callable) -> tuple[tuple, tuple]:
+    """(JSON, final-state bytes) of superdense and of teleport.
+
+    The JSON is the traced report of superdense (0, 1), with its decode
+    table, and of teleport (0.6, 0.8i); the bytes are the amplitudes of
+    each of the four superdense runs and of that teleport. The JSON rounds
+    floats to 12 places, so only the bytes show a drift in the last bits.
+    """
     runs = {(p, q): superdense(p, q) for p in (0, 1) for q in (0, 1)}
+    moved = teleport(0.6, 0.8j)
     return (
-        superdense_lines(runs[0, 1], decode_table(runs.values()), json_mode=True, trace=True),
-        teleport_lines(teleport(0.6, 0.8j), json_mode=True, trace=True),
+        (
+            superdense_lines(runs[0, 1], decode_table(runs.values()), json_mode=True, trace=True),
+            [run.final_state.amps.tobytes() for run in runs.values()],
+        ),
+        (teleport_lines(moved, json_mode=True, trace=True), moved.world.state.amps.tobytes()),
     )
 
 
@@ -320,9 +330,13 @@ def _check_determinism() -> str:
             raise AssertionError(f"render of {name} not reproducible")
     # fresh runs of its own, then the shared ones: two independent runs
     fresh = _reports(lambda p, q: run_superdense(p, q, tol=1e-12), run_teleport)
-    for kind, a, b in zip(("superdense", "teleport"), fresh, _reports(_superdense, _teleport)):
-        if a != b:
+    for kind, (lines, amps), (shared_lines, shared_amps) in zip(
+        ("superdense", "teleport"), fresh, _reports(_superdense, _teleport)
+    ):
+        if lines != shared_lines:
             raise AssertionError(f"{kind} JSON output not reproducible")
+        if amps != shared_amps:
+            raise AssertionError(f"{kind} final state not bit-identical")
     return "renders and JSON reports byte-identical across repeated runs"
 
 

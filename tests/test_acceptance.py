@@ -14,6 +14,7 @@ from everettsim import circuit, fixtures, protocols, verify
 from everettsim.circuit import GATES
 from everettsim.gates import UnitaryGate, u_b_decoder
 from everettsim.protocols import DecodeTable, ProtocolError
+from everettsim.reports import teleport_lines
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,11 @@ def _nudge_the_input(run, alpha, beta, **kwargs):
     return run(up(alpha), up(beta), **kwargs)
 
 
+def _nudge_a_nonzero_part(run, alpha, beta, **kwargs):
+    # one ulp up in alpha's real part alone: the JSON report rounds it away
+    return run(math.nextafter(alpha.real, math.inf) + 1j * alpha.imag, beta, **kwargs)
+
+
 def _drop_the_last_event(run, *args, **kwargs):
     result = run(*args, **kwargs)
     return replace(result, world=replace(result.world, trace=result.world.trace[:-1]))
@@ -161,6 +167,23 @@ def test_check_9_catches_a_run_that_differs_when_repeated(monkeypatch, name, dri
     # alone, check 9 makes both sides afresh: the second drifts
     calls.clear()
     with pytest.raises(AssertionError, match=f"^{report} JSON output not reproducible$"):
+        verify._check_determinism()
+
+
+def test_check_9_catches_a_final_state_that_differs_in_its_last_bits(monkeypatch):
+    # the JSON of the nudged repeat is byte-identical; only the amplitudes show it
+    nudged = _nudge_a_nonzero_part(verify.run_teleport, 0.6, 0.8j)
+    plain = verify.run_teleport(0.6, 0.8j)
+    assert teleport_lines(nudged, json_mode=True, trace=True) == teleport_lines(
+        plain, json_mode=True, trace=True
+    )
+    assert nudged.world.state.amps.tobytes() != plain.world.state.amps.tobytes()
+    calls = _repeats(monkeypatch, "run_teleport", _nudge_a_nonzero_part)
+    results = verify.run_all()
+    assert [r.index for r in results if not r.passed] == [9]
+    assert results[8].detail == "AssertionError: teleport final state not bit-identical"
+    calls.clear()
+    with pytest.raises(AssertionError, match="^teleport final state not bit-identical$"):
         verify._check_determinism()
 
 

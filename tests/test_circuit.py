@@ -27,7 +27,14 @@ from everettsim.circuit import (
     teleport_source,
 )
 from everettsim.protocols import LocalityError, run_superdense, run_teleport
-from everettsim.state import StateError
+from everettsim.state import (
+    DEFAULT_TOL,
+    Bipartition,
+    StateError,
+    equal_up_to_phase,
+    qubit,
+    schmidt_factor,
+)
 
 DECODE = {(0, 0): (0, 0), (0, 1): (1, 0), (1, 0): (0, 1), (1, 1): (1, 1)}
 
@@ -259,6 +266,60 @@ def test_a_zero_ket_in_a_factor_assertion_fails_it_and_execution_continues():
     assert outcomes[1].detail == (
         "factor on 'b' cannot be compared with the zero ket (0.0,0.0)|0>+(0.0,0.0)|1>"
     )
+
+
+def factor_outcome(s, stmt, tol=DEFAULT_TOL):
+    """(passed, detail) of an `assert factor`, decided from both of schmidt_factor's factors."""
+    rest = frozenset(s.wires) - {stmt.wire}
+    rank, factors = schmidt_factor(s, Bipartition(rest, frozenset({stmt.wire})), tol)
+    if factors is None:
+        return False, f"not a product across {stmt.wire!r} (rank {rank})"
+    if stmt.expr.amp0 == 0 and stmt.expr.amp1 == 0:
+        return False, f"factor on {stmt.wire!r} cannot be compared with the zero ket {stmt.expr.text}"
+    if equal_up_to_phase(factors[1], qubit(stmt.wire, stmt.expr.amp0, stmt.expr.amp1), tol):
+        return True, f"factor on {stmt.wire!r} ~ {stmt.expr.text}"
+    return False, f"factor on {stmt.wire!r} differs from {stmt.expr.text}"
+
+
+KET = "(0.6,0) |0> + (0,0.8) |1>"
+SCALED_KET = "(-1.2e-90,0) |0> + (0,-1.6e-90) |1>"
+ZERO_KET = "(0,0) |0> + (0,0) |1>"
+
+
+def factor_program(n, pair):
+    """n wires: with `pair`, a Bell pair on the last two; every other wire in KET or |1>.
+
+    Each product wire is asserted to be its ket, at another scale, the wrong
+    ket and the zero ket, and each pair wire to be |0>.
+    """
+    wires = [f"w{i}" for i in range(n)]
+    product = wires[:-2] if pair else wires
+    lines = [f"wire {w} @ Alice" for w in wires]
+    lines += [f"init {w} = {KET if i % 2 else '|1>'}" for i, w in enumerate(product)]
+    if pair:
+        lines.append(f"init pair {wires[-2]} {wires[-1]} = bell 0 1")
+    for i, w in enumerate(product):
+        right, wrong = (KET, "|1>") if i % 2 else ("|1>", KET)
+        lines += [f"assert factor {w} ~ {k}" for k in (right, SCALED_KET if i % 2 else right, wrong, ZERO_KET)]
+    lines += [f"assert factor {w} ~ |0>" for w in wires[len(product):]]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n,pair", [(1, False), (2, False), (2, True), (3, True), (20, True)])
+def test_assert_factor_decides_as_both_factors_of_the_cut_do(n, pair):
+    prog = parse_circuit(factor_program(n, pair))
+    world, outcomes = exec_circuit(prog)
+    asserts = {stmt.line: stmt for stmt in prog.statements if isinstance(stmt, AssertFactor)}
+    assert [o.line for o in outcomes] == sorted(asserts)
+    got = [(o.passed, o.detail) for o in outcomes]
+    assert got == [factor_outcome(world.state, asserts[o.line]) for o in outcomes]
+    # every kind of outcome the program holds is among them: on a product
+    # wire a pass, a wrong ket and the zero ket, and on a pair wire rank 2
+    details = " ".join(detail for _, detail in got)
+    products = n > 2 or not pair
+    assert any(passed for passed, _ in got) == products
+    assert ("differs from" in details) == ("zero ket" in details) == products
+    assert ("(rank 2)" in details) == pair
 
 
 def test_missing_transfer_halts_with_a_locality_error():

@@ -1,8 +1,10 @@
 """The memory contract of README "Width": each kernel's peak as a multiple of the state.
 
-A one-wire cut, the cut ``assert factor`` makes, holds at most 0.75 times
-the state beside the state itself at 20 wires (tracemalloc), whether its
-row blocks are views of the amplitudes or gathered. A 22-wire
+At 20 wires (tracemalloc), a one-wire cut by ``schmidt_factor``, which
+builds both factors, holds at most 0.75 times the state beside the state
+itself, whether its row blocks are views of the amplitudes or gathered;
+``assert factor`` makes the same cut but builds only the wire's factor, and
+holds under 0.2 times the state. A 22-wire
 ``everettsim run`` peaks at ``apply``'s two states and little more: the
 peak resident set of its child process stays within 2.25 times the state
 of the child's own peak after its imports. CI runs this module on two
@@ -20,7 +22,9 @@ from conftest import traced_peak
 from test_properties import product_on_cut
 from test_sharing import run_python
 
-from everettsim.state import Bipartition, schmidt_factor
+from everettsim import protocols
+from everettsim.circuit import parse_circuit, run_step
+from everettsim.state import DEFAULT_TOL, Bipartition, schmidt_factor
 
 
 # one-wire cuts of 20 wires: the row blocks of w12 are gathered, those of w19
@@ -40,6 +44,31 @@ def test_a_20_wire_one_wire_cut_holds_at_most_three_quarters_of_the_state(positi
         tracemalloc.stop()
     assert rank == 1 and factors is not None
     assert peak <= 0.75 * s.amps.nbytes
+
+
+# the cut of the same states as assert factor makes it: only the wire's
+# factor, the SVD's own, is built, and never the half-state factor beside it
+@pytest.mark.parametrize("position", [12, 19])
+def test_a_20_wire_assert_factor_holds_under_a_fifth_of_the_state(position):
+    wire = f"w{position}"
+    s, _, factor = product_on_cut(np.random.default_rng(position), 20, (wire,), 1)
+    a0, a1 = factor.amps.tolist()
+    source = "".join(f"wire {w} @ Alice\n" for w in s.wires)
+    source += f"assert factor {wire} ~ ({a0.real!r},{a0.imag!r}) |0> + ({a1.real!r},{a1.imag!r}) |1>\n"
+    (stmt,) = parse_circuit(source).statements
+    world = protocols.ProtocolWorld(s, {w: protocols.Agent.ALICE for w in s.wires}, ())
+    outcomes = []
+    # the worker thread and every cache exist before tracing starts
+    run_step(world, stmt, DEFAULT_TOL, outcomes)
+    tracemalloc.start()
+    try:
+        run_step(world, stmt, DEFAULT_TOL, outcomes)
+        peak = traced_peak()
+    finally:
+        tracemalloc.stop()
+    assert [o.passed for o in outcomes] == [True, True]
+    # the parent of this contract read 0.57 and 0.51 times the state
+    assert peak < 0.2 * s.amps.nbytes
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM on this platform")

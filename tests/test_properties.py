@@ -468,6 +468,32 @@ def test_block_product_of_a_strided_state_keeps_every_bit():
     assert got.tobytes() == reference_apply(cu_meas(), targets, residual).tobytes()
 
 
+def random_orthogonal(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+# Gaussian amplitudes are of one size, so every product in a block's sum
+# reaches its last bits and the order of the sum shows: kernel_amps' spread
+# from 1e-150 to 1e150 leaves one product per sum and hides it. Blocks of
+# one or two columns (cu_meas on 4 and 5 wires) sum a real product in
+# another order than a complex one, and must stay complex.
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("kind", ["cu_meas", 1, 2, 3, 4])
+def test_real_gates_keep_every_bit_on_gaussian_states(kind, n):
+    rng = np.random.default_rng([n, 0 if kind == "cu_meas" else kind])
+    wires = tuple(f"w{i}" for i in range(n))
+    for _ in range(10):
+        if kind == "cu_meas":
+            gate = cu_meas()
+        else:
+            gate = UnitaryGate(kind, random_orthogonal(rng, 1 << kind))
+        assert gate.real is not None
+        s = PureState(wires, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
+        targets = tuple(rng.permutation(wires)[: gate.arity])
+        assert apply(gate, targets, s).amps.tobytes() == reference_apply(gate, targets, s).tobytes()
+
+
 def product_on_cut(rng, n, right, rank):
     """A sum of `rank` products across (the other wires | `right`), with one of its terms.
 

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import embed, permute_wires, random_amps, random_unitary, traced_peak
+from test_properties import product_on_cut
 
 from everettsim.gates import UnitaryGate, bell, sigma
 from everettsim.state import (
@@ -22,6 +25,7 @@ from everettsim.state import (
     qubit,
     schmidt_factor,
     tensor,
+    wire_factor,
 )
 from everettsim.state import _DOT_BLOCK, _sum_sq
 
@@ -487,6 +491,48 @@ def test_cut_must_cover_the_wires():
         schmidt_factor(s, Bipartition(frozenset("a"), frozenset("c")))
     with pytest.raises(WireError):
         Bipartition(frozenset("a"), frozenset("a"))
+
+
+def one_wire_cut(rng, n, wire, rank, scale):
+    """A sum of `rank` products across (the other wires | `wire`) over w0..w(n-1), times scale."""
+    s, _, _ = product_on_cut(rng, n, (wire,), rank)
+    return PureState(s.wires, s.amps * scale)
+
+
+@pytest.mark.parametrize("n,positions", [(1, (0,)), (2, (0, 1)), (3, (0, 1, 2)), (12, (0, 5, 11))])
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_wire_factor_is_schmidt_factors_right_factor_bit_for_bit(n, positions, scale):
+    rng = np.random.default_rng([n, int(np.log10(scale)) + 200])
+    for position, rank in itertools.product(positions, (1, 2) if n > 1 else (1,)):
+        wire = f"w{position}"
+        s = one_wire_cut(rng, n, wire, rank, scale)
+        got_rank, got = wire_factor(s, wire)
+        want_rank, want = schmidt_factor(s, Bipartition(frozenset(s.wires) - {wire}, frozenset({wire})))
+        assert got_rank == want_rank == rank
+        if rank == 1:
+            assert got.wires == want[1].wires == (wire,)
+            assert got.amps.tobytes() == want[1].amps.tobytes()
+        else:
+            assert got is None
+
+
+@pytest.mark.parametrize("position", [0, 12, 19])
+def test_wire_factor_of_a_20_wire_state_is_schmidt_factors_right_factor(position):
+    wire = f"w{position}"
+    s = one_wire_cut(np.random.default_rng(position), 20, wire, 1, 1.0)
+    rank, factor = wire_factor(s, wire)
+    cut = Bipartition(frozenset(s.wires) - {wire}, frozenset({wire}))
+    assert rank == 1
+    assert factor.amps.tobytes() == schmidt_factor(s, cut)[1][1].amps.tobytes()
+
+
+def test_wire_factor_refuses_an_unknown_wire_and_a_zero_state():
+    with pytest.raises(WireError, match="unknown wire"):
+        wire_factor(bell(0, 0, ("a", "b")), "c")
+    with pytest.raises(WireError, match="unknown wire"):
+        wire_factor(qubit("a", 1, 0), "c")
+    with pytest.raises(ZeroStateError):
+        wire_factor(PureState(("a", "b"), np.zeros(4)), "b")
 
 
 # -------------------------------------------------------- branch decompose

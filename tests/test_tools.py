@@ -23,3 +23,16 @@ def test_code_lines_ends_quietly_when_its_reader_stops_early(tmp_path):
         child.stdout.close()
         err = child.stderr.read()
         assert (child.wait(), err) == (1, b"")
+
+
+def test_wide_bits_prints_one_hash_per_program():
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "wide_bits.py"), "--seed", "1", "--count", "2"],
+        capture_output=True, text=True, check=True,
+    )
+    lines = [line.split() for line in out.stdout.splitlines()]
+    assert [index for index, _ in lines] == ["0", "1"]
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in lines)
+    # two programs of one seed end in different states
+    assert lines[0][1] != lines[1][1]
+    assert out.stderr == ""
