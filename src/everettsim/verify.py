@@ -11,7 +11,8 @@ of each committed fixture, and checks 7 and 8 one exec of it. A shared run
 that raised raises again in every check that reads it, so each of those
 checks fails. Check 9 tests determinism: it compares the shared runs with
 fresh ones of its own, two independent runs of everything it compares:
-their JSON reports, and their final states byte for byte. Outside `run_all` a check makes all of its runs afresh.
+their JSON reports, and their final states byte for byte. Outside
+`run_all` a check makes all of its runs afresh.
 """
 
 from __future__ import annotations
@@ -312,13 +313,13 @@ def _reports(superdense: Callable, teleport: Callable) -> tuple[tuple, tuple]:
     floats to 12 places, so only the bytes show a drift in the last bits.
     """
     runs = {(p, q): superdense(p, q) for p in (0, 1) for q in (0, 1)}
-    moved = teleport(0.6, 0.8j)
+    teleported = teleport(0.6, 0.8j)
     return (
         (
             superdense_lines(runs[0, 1], decode_table(runs.values()), json_mode=True, trace=True),
             [run.final_state.amps.tobytes() for run in runs.values()],
         ),
-        (teleport_lines(moved, json_mode=True, trace=True), moved.world.state.amps.tobytes()),
+        (teleport_lines(teleported, json_mode=True, trace=True), teleported.world.state.amps.tobytes()),
     )
 
 
