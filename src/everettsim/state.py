@@ -13,7 +13,10 @@ One helper, ``_bit_view``, owns the memory layout: it alone reshapes
 amplitudes to one axis of 2 per wire and transposes them, the wires a
 kernel names first. ``apply``, ``schmidt_factor``, ``wire_factor`` and
 ``branch_decompose`` take their views from it, directly or through
-``_wire_view``; ``_pack`` is the one packing of bits into an index.
+``_wire_view``; ``_pack`` is the one packing of bits into an index. On a
+state of at most _SMALL amplitudes ``apply`` addresses the amplitudes
+through ``_plan``'s index instead, which is np.arange(2**n) viewed by
+``_bit_view`` and flattened, so the layout is still ``_bit_view``'s alone.
 
 Everything here is an immutable value and every operation is a pure function,
 so states can be shared freely between threads.
@@ -92,6 +95,17 @@ _ROW_CHUNK = 1 << 13
 # 2**14 amplitudes took 170-215 us against 11 us for 2**13. At 20 wires
 # cu_meas took about 3% longer than with 2**14 and 10% less than with 2**12.
 _CHUNK = 1 << 13
+# apply reads and writes a state of at most this many amplitudes through one
+# cached index per wire order (_plan): a gather, the kernel's one call and a
+# scatter, where a larger state moves slices or chunks of a strided view. It
+# stays at or below _CHUNK, so the block product is one chunk. On a 2-core
+# x86-64 VM (numpy 2.4.6), medians over six random target sets and nine
+# alternating rounds, slices against gathers: sigma11 17.9 -> 11.9 us, u_b
+# 38.2 -> 12.3 and cu_meas 20.3 -> 13.2 at 5 wires; 15.7 -> 12.2, 33.5 ->
+# 13.6 and 19.1 -> 13.2 at 10; sigma11 16.7 -> 16.3 at 11 and 25.6 -> 34.6
+# at 12, where u_b and cu_sigma still gained. Each plan holds up to two
+# index arrays of the state's size, which argues for the low end.
+_SMALL = 1 << 10
 # From this many columns apply multiplies a block of a real matrix in real
 # arithmetic (UnitaryGate.real), bit for bit. On a 2-core x86-64 VM (numpy
 # 2.4.6, OpenBLAS 0.3.31), real and complex products of 4 to 8192 columns
@@ -485,6 +499,14 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
     run in the halves ``_split`` gives, over the first wire besides the
     targets, or the first loop wire; a half of the block product has two
     buffers of its own.
+
+    A state of at most _SMALL amplitudes takes neither view: it is read and
+    written through ``_plan``'s index of the same view. Each distinct entry
+    of a phased permutation is one gather of its column slices, one
+    ``_move`` into a new array and one scatter into its row slices, and the
+    block product's one chunk is one gather, the same ``np.matmul`` and one
+    scatter. Every amplitude meets the numpy or BLAS call it meets above
+    _SMALL, so the path moves no bit.
     """
     targets = tuple(targets)
     k = len(targets)
@@ -493,7 +515,13 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
     n = state.n_wires
     front = _positions(state, targets, "target")
     amps, out = state.amps, np.empty(state.amps.size, dtype=complex)
+    small = amps.size <= _SMALL
     if gate.monomial is not None:
+        if small:
+            # the slice moves of each entry, as one gather, move and scatter
+            for entry, rows, cols in _plan(n, front, gate.monomial):
+                out[rows] = _move(amps[cols], entry)
+            return PureState._adopt(state.wires, out)
         src, dst = _bit_view(amps, n, front), _bit_view(out, n, front)
         index = _bits(k)
         parts = _bits(_split(amps.size, n - k))
@@ -508,27 +536,39 @@ def apply(gate: UnitaryGate, targets: Sequence[str], state: PureState) -> PureSt
         _share(len(parts), moves)
         return PureState._adopt(state.wires, out)
     order, outer, block = _block_plan(n, front)
-    src, dst = _bit_view(amps, n, order), _bit_view(out, n, order)
-    parts = _bits(_split(amps.size, outer))
-    loops = _bits(outer - len(parts[0]))
     # a real matrix multiplies the real and imaginary parts of a block's
     # columns as twice as many real columns: half the multiplies
     real = gate.real is not None and block[2] >= _REAL_COLUMNS
+    if small:
+        # the one chunk (outer is 0), gathered and scattered through the index
+        index = _plan(n, order, None)
+        results = np.empty(block, dtype=complex)
+        _multiply(gate, real, amps[index].reshape(block), results)
+        out[index] = results.reshape(-1)
+        return PureState._adopt(state.wires, out)
+    src, dst = _bit_view(amps, n, order), _bit_view(out, n, order)
+    parts = _bits(_split(amps.size, outer))
+    loops = _bits(outer - len(parts[0]))
 
     def chunks(p: int) -> None:
         stack, results = np.empty(block, dtype=complex), np.empty(block, dtype=complex)
         shape = src.shape[outer:]
-        matrix, operand, product = gate.matrix, stack, results
-        if real:
-            matrix, operand, product = gate.real, stack.view(np.float64), results.view(np.float64)
         for loop in loops:
             key = parts[p] + loop
             np.copyto(stack.reshape(shape), src[key])
-            np.matmul(matrix, operand, out=product)
+            _multiply(gate, real, stack, results)
             dst[key] = results.reshape(shape)
 
     _share(len(parts), chunks)
     return PureState._adopt(state.wires, out)
+
+
+def _multiply(gate: UnitaryGate, real: bool, stack: np.ndarray, results: np.ndarray) -> None:
+    """results = the gate's matrix times each block of `stack`, one ``np.matmul``; `real` in real arithmetic."""
+    if real:
+        np.matmul(gate.real, stack.view(np.float64), out=results.view(np.float64))
+    else:
+        np.matmul(gate.matrix, stack, out=results)
 
 
 def _wire_view(state: PureState, wires: tuple[str, ...], amps: np.ndarray, role: str) -> np.ndarray:
@@ -601,14 +641,48 @@ def _block_plan(
     return order, len(loops) - stack, (1 << stack, 1 << k, 1 << inner)
 
 
-def _move(src: np.ndarray, entry: complex, dst: np.ndarray) -> None:
-    """dst = entry * src; for an entry of 1 or -1 a zero is +0, as a block product's sum is."""
+# bounded, as _axis_plan is; a plan holds at most two arrays of _SMALL
+# indices (16 KiB), so a full cache holds at most 2 MiB. A miss costs about
+# what it saves: a u_b plan took 20 us to build at 5 wires and 37 us at 10.
+@lru_cache(maxsize=128)
+def _plan(n: int, order: tuple[int, ...], monomial: tuple | None):
+    """How apply addresses a state of n wires, at most _SMALL amplitudes, with the wires at `order` first.
+
+    The index is np.arange(2**n) viewed as ``_bit_view`` views the
+    amplitudes, then flattened: amps[index] is that view's copy, and
+    out[index] = x writes x through the view. Without `monomial` the plan is
+    the index. For a phased permutation, `order` holds the targets and the
+    plan has one (entry, rows, cols) per distinct entry (by its bytes, so a
+    zero's sign counts): `cols` are the positions of that entry's column
+    slices and `rows` of its row slices, pair by pair in the order the slice
+    moves pair them. Every array is read-only.
+    """
+    index = _bit_view(np.arange(1 << n), n, order).reshape(-1)
+    if monomial is None:
+        index.setflags(write=False)
+        return index
+    slices = index.reshape(1 << len(order), -1)
+    groups: dict[bytes, tuple[complex, list[int], list[int]]] = {}
+    for row, col, entry in monomial:
+        group = groups.setdefault(np.complex128(entry).tobytes(), (entry, [], []))
+        group[1].append(row)
+        group[2].append(col)
+    plan = []
+    for entry, rows, cols in groups.values():
+        rows, cols = slices[rows].reshape(-1), slices[cols].reshape(-1)
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        plan.append((entry, rows, cols))
+    return tuple(plan)
+
+
+def _move(src: np.ndarray, entry: complex, dst: np.ndarray | None = None) -> np.ndarray:
+    """dst = entry * src, into a new array without `dst`; for an entry of 1 or -1 a zero is +0, as a block product's sum is."""
     if entry == 1:
-        np.add(src, 0.0, out=dst)
-    elif entry == -1:
-        np.subtract(0.0, src, out=dst)
-    else:
-        np.multiply(src, entry, out=dst)
+        return np.add(src, 0.0, out=dst)
+    if entry == -1:
+        return np.subtract(0.0, src, out=dst)
+    return np.multiply(src, entry, out=dst)
 
 
 def inner_product(s1: PureState, s2: PureState) -> complex:

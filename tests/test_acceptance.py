@@ -5,12 +5,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines, or
 """
 
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from everettsim import circuit, fixtures, protocols, verify
+from everettsim import circuit, fixtures, protocols, state, verify
 from everettsim.circuit import GATES
 from everettsim.gates import UnitaryGate, u_b_decoder
 from everettsim.protocols import DecodeTable, ProtocolError
@@ -116,6 +117,31 @@ def test_each_shared_run_is_made_once_per_run_all(monkeypatch):
     assert all(r.passed for r in verify.run_all())
     # check 9 makes 4 superdense runs and 1 teleport of its own
     assert calls == {"run_superdense": 8, "run_teleport": 12, "exec_circuit": 7, "read": 2}
+
+
+def test_run_all_applies_every_gate_through_the_small_state_plans(monkeypatch):
+    """No apply in run_all views a state through _bit_view, the strided path of larger states."""
+    strided = Counter()
+    original = state._bit_view
+
+    def counted(amps, n, front):
+        # only the strided path calls it from apply itself; _plan and
+        # _wire_view call it too
+        if sys._getframe(1).f_code is state.apply.__code__:
+            strided[n] += 1
+        return original(amps, n, front)
+
+    monkeypatch.setattr(state, "_bit_view", counted)
+    state._plan.cache_clear()
+    assert all(r.passed for r in verify.run_all())
+    assert not strided
+    # the plans of one run_all are a handful, one per gate and wire order
+    assert 0 < state._plan.cache_info().currsize <= 8
+    # the counter sees the strided path: a state past _SMALL takes it
+    n = state._SMALL.bit_length()
+    wide = state.basis_state([f"w{i}" for i in range(n)], [0] * n)
+    state.apply(GATES["u_b"].build(), ("w0", "w1", "w2"), wide)
+    assert strided == {n: 2}
 
 
 def _nudge_the_input(run, alpha, beta, **kwargs):

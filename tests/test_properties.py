@@ -9,6 +9,7 @@ examples on every run (`derandomize`).
 
 import contextlib
 import functools
+import inspect
 import io
 import itertools
 
@@ -390,6 +391,104 @@ def test_apply_matches_the_block_product(name, n, seed):
     wires = tuple(f"w{i}" for i in range(n))
     s = PureState(wires, kernel_amps(rng, 1 << n))
     assert_apply_matches_reference(gate, tuple(rng.permutation(wires)[: gate.arity]), s)
+
+
+def reference_slice_moves(gate, targets, s):
+    """`apply`'s slice moves, as every phased permutation ran before small states took a gather per entry.
+
+    The oracle for that path, a copy of ``state._move`` included; it returns
+    the result's amplitudes.
+    """
+    targets = tuple(targets)
+    src = state._wire_view(s, targets, s.amps, "target")
+    out = np.empty(s.amps.size, dtype=complex)
+    dst = state._wire_view(s, targets, out, "target")
+    index = list(itertools.product((0, 1), repeat=len(targets)))
+    for row, col, entry in gate.monomial:
+        a, b = src[index[col] + (...,)], dst[index[row] + (...,)]
+        if entry == 1:
+            np.add(a, 0.0, out=b)
+        elif entry == -1:
+            np.subtract(0.0, a, out=b)
+        else:
+            np.multiply(a, entry, out=b)
+    return out
+
+
+SMALL_WIRES = state._SMALL.bit_length() - 1
+APPLY_GATES = sorted(GATES) + ["dense", "phased"]
+
+
+def small_path_state(rng, n, kind):
+    """A state of n wires: kernel_amps, Gaussian, or a strided residual of a Gaussian state."""
+    wires = tuple(f"w{i}" for i in range(n))
+    if kind == "kernel":
+        return PureState(wires, kernel_amps(rng, 1 << n))
+    gaussian = rng.standard_normal(2 << n) + 1j * rng.standard_normal(2 << n)
+    if kind == "gaussian":
+        return PureState(wires, gaussian[: 1 << n])
+    # the rows of the last wire are every other amplitude, a strided view
+    whole = PureState(tuple(f"w{i}" for i in range(n + 1)), gaussian)
+    residual = branch_decompose(whole, (f"w{n}",), tol=-1.0).branches[1].residual
+    assert not residual.amps.flags.c_contiguous
+    return residual
+
+
+# from one wire to two past state._SMALL, so both sides of the boundary run
+@pytest.mark.parametrize("kind", ["kernel", "gaussian", "residual"])
+@pytest.mark.parametrize("n", range(1, SMALL_WIRES + 3))
+@pytest.mark.parametrize("name", APPLY_GATES)
+def test_small_states_keep_the_bits_of_slice_moves_and_the_block_product(name, n, kind):
+    rng = np.random.default_rng([APPLY_GATES.index(name), n, len(kind)])
+    checked = 0
+    for _ in range(12):
+        gate = kernel_gate(name, rng)
+        if gate.arity > n:
+            continue
+        s = small_path_state(rng, n, kind)
+        targets = tuple(rng.permutation(s.wires)[: gate.arity])
+        got = apply(gate, targets, s)
+        if gate.monomial is None:
+            want = reference_apply(gate, targets, s)
+        else:
+            want = reference_slice_moves(gate, targets, s)
+        assert got.amps.tobytes() == want.tobytes()
+        assert np.float64(got._norm_sq).tobytes() == np.float64(PureState(s.wires, want)._norm_sq).tobytes()
+        checked += 1
+    assert checked or GATES[name].build().arity > n
+
+
+def test_plan_arrays_are_read_only():
+    u_b = GATES["u_b"].build()
+    order = state._block_plan(5, (3, 0, 4, 1))[0]
+    arrays = [state._plan(5, order, None)]
+    for _, rows, cols in state._plan(5, (4, 1, 2), u_b.monomial):
+        arrays += [rows, cols]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_plan_cache_is_bounded_as_its_comment_states():
+    maxsize = state._plan.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    itemsize = np.dtype(np.intp).itemsize
+    # a plan at _SMALL amplitudes holds at most two arrays of _SMALL indices
+    n = SMALL_WIRES
+    largest = 0
+    for name in ("u_b", "cu_sigma", "sigma10", "cu_meas"):
+        gate = GATES[name].build()
+        targets = tuple(range(n - gate.arity, n))
+        if gate.monomial is None:
+            plan = state._plan.__wrapped__(n, state._block_plan(n, targets)[0], None)
+            largest = max(largest, plan.nbytes)
+        else:
+            plan = state._plan.__wrapped__(n, targets, gate.monomial)
+            largest = max(largest, sum(rows.nbytes + cols.nbytes for _, rows, cols in plan))
+    assert largest == 2 * state._SMALL * itemsize
+    comment = " ".join(inspect.getcomments(state._plan.__wrapped__).split())
+    assert f"({largest // 1024} KiB)" in comment
+    assert f"at most {maxsize * largest // 2**20} MiB" in comment
 
 
 @pytest.fixture(scope="module")
