@@ -455,7 +455,8 @@ def test_small_states_keep_the_bits_of_slice_moves_and_the_block_product(name, n
         assert got.amps.tobytes() == want.tobytes()
         assert np.float64(got._norm_sq).tobytes() == np.float64(PureState(s.wires, want)._norm_sq).tobytes()
         checked += 1
-    assert checked or GATES[name].build().arity > n
+    # only a gate of GATES wider than the state has no case
+    assert checked or (name in GATES and GATES[name].build().arity > n)
 
 
 def test_plan_arrays_are_read_only():
